@@ -2,9 +2,18 @@
 
 Each subcommand reads/writes the text formats defined by the library modules
 (waveform CSV, score CSV, segment NDJSON), with machine-readable output on
-stdout and diagnostics on stderr.  ``pipeline`` runs all four stages in
-sequence through the same serialized text the separate commands would
-exchange, so its output is byte-identical to piping them manually.
+stdout and diagnostics on stderr.  Each command parses each of its inputs
+once; the stage helpers below work on parsed objects.
+
+``pipeline`` runs the four stages with the data flow of the separate
+commands, so its output is byte-identical to piping them by hand: the
+waveform and the score trace are each serialized once and parsed once (the
+separate commands only ever see their 9-digit text), while the segment
+records stay in memory (their NDJSON round trip is exact).
+
+The CSV readers take canonical text (what the writers emit) through a
+vectorized fast path and fall back to a line-by-line parser for anything
+else, which also produces the per-line error messages.
 
 Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error.
 """
@@ -40,11 +49,12 @@ from .mechanics import (
 from .mockgen import MockConfig, generate_mock_waveform
 from .scoring import (
     ModelParams,
+    ScoreTrace,
     load_score_trace_csv,
     score_series,
     write_score_trace_csv,
 )
-from .waveform import load_waveform_csv, waveform_to_csv
+from .waveform import Waveform, load_waveform_csv, waveform_to_csv
 
 _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
@@ -54,38 +64,24 @@ class _UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages: text in, text out
+# pipeline stages: parsed objects in, parsed objects out
 
 
-def _stage_generate(cfg: MockConfig) -> tuple[str, str]:
+def _stage_generate(cfg: MockConfig) -> tuple[Waveform, str]:
     w, truth = generate_mock_waveform(cfg)
     gt_text = "".join(
         json.dumps({"start_s": s, "end_s": e}) + "\n" for s, e in truth.hold_segments
     )
-    return waveform_to_csv(w), gt_text
+    return w, gt_text
 
 
-def _stage_score(
-    waveform_text: str,
-    params: ModelParams,
-    linear: bool = False,
-    expected_rate_hz: float | None = None,
-) -> str:
-    w = load_waveform_csv(waveform_text, expected_rate_hz)
-    trace = score_series(w, params)
+def _trace_text(w: Waveform, trace: ScoreTrace, linear: bool = False) -> str:
     buf = io.StringIO()
     write_score_trace_csv(w.t, trace, buf, linear=linear)
     return buf.getvalue()
 
 
-def _stage_detect(
-    trace_text: str,
-    waveform_text: str,
-    config: DetectionConfig,
-    expected_rate_hz: float | None = None,
-) -> str:
-    t, trace = load_score_trace_csv(trace_text, expected_rate_hz)
-    w = load_waveform_csv(waveform_text, expected_rate_hz)
+def _stage_detect(trace: ScoreTrace, w: Waveform, config: DetectionConfig) -> list[dict]:
     if len(w) != len(trace):
         raise MalformedRow(
             f"trace has {len(trace)} rows but waveform has {len(w)} samples"
@@ -95,8 +91,10 @@ def _stage_detect(
             f"trace rate {trace.sample_rate_hz} Hz does not match waveform rate "
             f"{w.sample_rate_hz} Hz"
         )
-    segments = detect_holds(trace, config)
-    records = [segment_record(summarize_segment(w, seg)) for seg in segments]
+    return [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)]
+
+
+def _segments_text(records: list[dict]) -> str:
     buf = io.StringIO()
     write_segments_ndjson(records, buf)
     return buf.getvalue()
@@ -165,14 +163,7 @@ def _report_record(w, rec: dict, peep_override: float | None) -> dict:
     return out
 
 
-def _stage_report(
-    waveform_text: str,
-    segments_text: str,
-    peep_override: float | None = None,
-    expected_rate_hz: float | None = None,
-) -> str:
-    w = load_waveform_csv(waveform_text, expected_rate_hz)
-    records = read_segments_ndjson(segments_text)
+def _stage_report(w: Waveform, records: list[dict], peep_override: float | None = None) -> str:
     return "".join(
         json.dumps(_report_record(w, rec, peep_override)) + "\n" for rec in records
     )
@@ -338,7 +329,8 @@ def _write_output(path: str | None, text: str, stdout) -> None:
 
 def _cmd_generate(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    wave_text, gt_text = _stage_generate(cfg)
+    w, gt_text = _stage_generate(cfg)
+    wave_text = waveform_to_csv(w)
     if ns.ground_truth is not None:
         _write_output(ns.ground_truth, gt_text, stdout)
     _write_output(ns.output, wave_text, stdout)
@@ -346,9 +338,9 @@ def _cmd_generate(ns, stdin, stdout, stderr) -> int:
 
 
 def _cmd_score(ns, stdin, stdout, stderr) -> int:
-    wave_text = _read_input(ns.waveform, stdin)
-    out = _stage_score(wave_text, _model_from_ns(ns), ns.linear, ns.expected_rate_hz)
-    _write_output(ns.output, out, stdout)
+    w = load_waveform_csv(_read_input(ns.waveform, stdin), ns.expected_rate_hz)
+    trace = score_series(w, _model_from_ns(ns))
+    _write_output(ns.output, _trace_text(w, trace, ns.linear), stdout)
     return 0
 
 
@@ -357,8 +349,10 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
         raise _UsageError("--waveform must be a file path, not '-'")
     trace_text = _read_input(ns.trace, stdin)
     wave_text = _read_input(ns.waveform, stdin)
-    out = _stage_detect(trace_text, wave_text, _detection_from_ns(ns), ns.expected_rate_hz)
-    _write_output(ns.output, out, stdout)
+    _, trace = load_score_trace_csv(trace_text, ns.expected_rate_hz)
+    w = load_waveform_csv(wave_text, ns.expected_rate_hz)
+    records = _stage_detect(trace, w, _detection_from_ns(ns))
+    _write_output(ns.output, _segments_text(records), stdout)
     return 0
 
 
@@ -367,17 +361,23 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
         raise _UsageError("at most one of waveform and --segments may read stdin")
     wave_text = _read_input(ns.waveform, stdin)
     seg_text = _read_input(ns.segments, stdin)
-    out = _stage_report(wave_text, seg_text, ns.peep, ns.expected_rate_hz)
+    w = load_waveform_csv(wave_text, ns.expected_rate_hz)
+    out = _stage_report(w, read_segments_ndjson(seg_text), ns.peep)
     _write_output(ns.output, out, stdout)
     return 0
 
 
 def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    wave_text, gt_text = _stage_generate(cfg)
-    trace_text = _stage_score(wave_text, _model_from_ns(ns))
-    seg_text = _stage_detect(trace_text, wave_text, _detection_from_ns(ns))
-    report_text = _stage_report(wave_text, seg_text, ns.peep)
+    generated, gt_text = _stage_generate(cfg)
+    # The later stages see what the separate commands would read back.
+    wave_text = waveform_to_csv(generated)
+    w = load_waveform_csv(wave_text)
+    trace_text = _trace_text(w, score_series(w, _model_from_ns(ns)))
+    _, trace = load_score_trace_csv(trace_text)
+    records = _stage_detect(trace, w, _detection_from_ns(ns))
+    seg_text = _segments_text(records)
+    report_text = _stage_report(w, records, ns.peep)
     if ns.ground_truth is not None:
         _write_output(ns.ground_truth, gt_text, stdout)
     if ns.save_waveform is not None:

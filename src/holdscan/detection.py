@@ -127,14 +127,16 @@ def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig())
         if (b - a) / rate < config.min_duration_s:
             continue
         window = ls[a:b]
+        peak = float(np.max(window))
         out.append(
             HoldSegment(
                 start_index=a,
                 end_index=b,
                 start_s=a / rate,
                 end_s=b / rate,
-                peak_log_score=float(np.max(window)),
-                mean_log_score=float(np.mean(window)),
+                peak_log_score=peak,
+                # the mean of n equal values can round one ulp above them
+                mean_log_score=min(float(np.mean(window)), peak),
             )
         )
     return out

@@ -38,12 +38,15 @@ from .errors import (
     NonFiniteInput,
     NonPositiveVariance,
 )
-from .waveform import Waveform, check_time_grid, format_value, validate_waveform, _decode_lines
+from .waveform import Waveform, _read_table, _write_rows, check_time_grid, validate_waveform
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
 
 _TWO_PI = 2.0 * math.pi
+
+_TRACE_HEADER = ("t", "log_score")
+_TRACE_HEADER_LINEAR = ("t", "log_score", "score")
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,9 @@ def window_log_evidence(
         - 0.5 * math.log(_TWO_PI * params.var_pressure)
         - dp * dp / (2.0 * params.var_pressure)
     )
-    return math.fsum(per_sample)
+    # fsum over a list of floats: the same exactly rounded sum, without
+    # creating a numpy scalar per element
+    return math.fsum(per_sample.tolist())
 
 
 def write_score_trace_csv(t: np.ndarray, trace: ScoreTrace, stream: IO[str], linear: bool = False) -> None:
@@ -200,18 +205,22 @@ def write_score_trace_csv(t: np.ndarray, trace: ScoreTrace, stream: IO[str], lin
     """
     if len(t) != len(trace):
         raise MalformedRow("t and trace lengths differ")
-    stream.write("t,log_score,score\n" if linear else "t,log_score\n")
     ls = trace.log_scores
     if linear:
         with np.errstate(under="ignore", over="ignore"):
             lin = np.exp(ls)
-        for i in range(len(ls)):
-            stream.write(
-                f"{format_value(t[i])},{format_value(ls[i])},{format_value(lin[i])}\n"
-            )
+        _write_rows(stream, _TRACE_HEADER_LINEAR, (t, ls, lin))
     else:
-        for i in range(len(ls)):
-            stream.write(f"{format_value(t[i])},{format_value(ls[i])}\n")
+        _write_rows(stream, _TRACE_HEADER, (t, ls))
+
+
+def _trace_row_problem(values: list[float]) -> str | None:
+    t, log_score = values
+    if not math.isfinite(t):
+        return "non-finite timestamp"
+    if math.isnan(log_score) or log_score == math.inf:
+        return "log_score must be finite or -inf"
+    return None
 
 
 def load_score_trace_csv(source, expected_rate_hz: float | None = None) -> tuple[np.ndarray, ScoreTrace]:
@@ -221,40 +230,7 @@ def load_score_trace_csv(source, expected_rate_hz: float | None = None) -> tuple
     only ``t`` and ``log_score`` are read.  Timestamps must be strictly
     increasing and uniformly spaced, matching the waveform rules.
     """
-    lines = _decode_lines(source)
-    header: tuple[str, ...] | None = None
-    t_vals: list[float] = []
-    ls_vals: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if header is None:
-            header = tuple(fields)
-            if header[:2] != ("t", "log_score") or len(header) > 3:
-                raise MalformedRow(f"line {lineno}: unrecognized header {line!r}")
-            if len(header) == 3 and header[2] != "score":
-                raise MalformedRow(f"line {lineno}: unrecognized header {line!r}")
-            continue
-        if len(fields) != len(header):
-            raise MalformedRow(
-                f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        try:
-            tv = float(fields[0])
-            lsv = float(fields[1])
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}") from None
-        if not math.isfinite(tv):
-            raise MalformedRow(f"line {lineno}: non-finite timestamp in {line!r}")
-        if math.isnan(lsv) or lsv == math.inf:
-            raise MalformedRow(f"line {lineno}: log_score must be finite or -inf in {line!r}")
-        t_vals.append(tv)
-        ls_vals.append(lsv)
-    if header is None or not t_vals:
-        raise EmptyInput("no data rows found")
-
-    t = np.asarray(t_vals, dtype=np.float64)
+    _, rows = _read_table(source, (_TRACE_HEADER, _TRACE_HEADER_LINEAR), _trace_row_problem, width=2)
+    t = rows[:, 0].copy()
     rate = check_time_grid(t, expected_rate_hz)
-    return t, ScoreTrace(log_scores=np.asarray(ls_vals, dtype=np.float64), sample_rate_hz=rate)
+    return t, ScoreTrace(log_scores=rows[:, 1], sample_rate_hz=rate)

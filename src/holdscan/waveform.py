@@ -10,12 +10,18 @@ CSV format: header line ``t,flow,pressure`` or ``t,flow,pressure,volume``,
 comma-separated decimal values, UTF-8, LF or CRLF line endings, lines starting
 with ``#`` ignored.  Values are written with 9 significant digits, which makes
 write -> read -> write byte-stable.
+
+The CSV layer here is shared with the score trace (``scoring``): one row
+writer formats whole chunks of rows at once, and one reader parses canonical
+text (what the writer emits) with ``np.loadtxt`` and hands anything else to
+a line-by-line parser, which is the reference for values and error messages.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -38,6 +44,12 @@ CSV_DIGITS = 9
 
 _HEADER_BASE = ("t", "flow", "pressure")
 _HEADER_VOLUME = ("t", "flow", "pressure", "volume")
+
+# Rows formatted by one string operation in the writer; bounds its temporaries.
+_ROWS_PER_CHUNK = 8192
+
+# Every byte the writer emits in data rows of finite values.
+_ROW_BYTES = b"0123456789.+-e,\n"
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,13 @@ class Waveform:
 
 
 def validate_waveform(w: Waveform) -> None:
-    """Raise a taxonomy error unless all waveform invariants hold."""
+    """Raise a taxonomy error unless all waveform invariants hold.
+
+    A waveform that passed is not checked again: it is frozen and its
+    channels are read-only copies, so the result cannot change.
+    """
+    if getattr(w, "_validated", False):
+        return
     n = len(w.t)
     if n == 0:
         raise EmptyInput("waveform has no samples")
@@ -122,6 +140,7 @@ def validate_waveform(w: Waveform) -> None:
                 f"timestamp spacing deviates from {nominal} s by {dev} "
                 f"(allowed {SPACING_RTOL * nominal})"
             )
+    object.__setattr__(w, "_validated", True)
 
 
 def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
@@ -164,28 +183,33 @@ def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> flo
     return rate
 
 
-def _decode_lines(source: IO | Iterable[str] | bytes | str) -> list[str]:
+def _source_text(source: IO | Iterable[str] | bytes | str) -> str | None:
+    """The whole text of a str, bytes or file source; None for an iterable of lines."""
     if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
+        return source.decode("utf-8")
     if isinstance(source, str):
-        return source.splitlines()
+        return source
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
-    return [line.rstrip("\r\n") for line in source]
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    return None
 
 
-def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform:
-    """Parse and validate a waveform CSV.
+def _decode_lines(source: IO | Iterable[str] | bytes | str) -> list[str]:
+    text = _source_text(source)
+    if text is None:
+        return [line.rstrip("\r\n") for line in source]
+    return text.splitlines()
 
-    The sample rate is taken from ``expected_rate_hz`` when given, otherwise
-    inferred from the median timestamp spacing (which needs at least two
-    rows).  Raises the usual taxonomy errors on malformed or inconsistent
-    input.
+
+def _parse_lines(lines: list[str], headers, row_problem, width: int | None = None):
+    """Line-by-line CSV parser: ``(header, rows)``, rows as a 2-D float64 array.
+
+    Blank lines and ``#`` lines are skipped; the first other line must be
+    one of ``headers``.  The first ``width`` fields of each row (all when
+    None) are parsed, and ``row_problem(values)`` names what is wrong with
+    them, or returns None.  Every error names the line it was found on.
     """
-    lines = _decode_lines(source)
     header: tuple[str, ...] | None = None
     rows: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -195,7 +219,7 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
         fields = [f.strip() for f in line.split(",")]
         if header is None:
             header = tuple(fields)
-            if header not in (_HEADER_BASE, _HEADER_VOLUME):
+            if header not in headers:
                 raise MalformedRow(f"line {lineno}: unrecognized header {line!r}")
             continue
         if len(fields) != len(header):
@@ -203,16 +227,86 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
                 f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
         try:
-            values = [float(f) for f in fields]
+            values = [float(f) for f in fields[:width]]
         except ValueError:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise MalformedRow(f"line {lineno}: non-finite value in {line!r}")
+        problem = row_problem(values)
+        if problem is not None:
+            raise MalformedRow(f"line {lineno}: {problem} in {line!r}")
         rows.append(values)
     if header is None or not rows:
         raise EmptyInput("no data rows found")
+    return header, np.asarray(rows, dtype=np.float64)
 
-    cols = np.asarray(rows, dtype=np.float64).T
+
+def _fast_table(text: str, headers):
+    """``(header, rows)`` of canonical CSV text by ``np.loadtxt``, else None.
+
+    Canonical text is what the writer emits: a known header alone on the
+    first line, then rows of finite values made only of ``_ROW_BYTES``.
+    On that alphabet ``np.loadtxt`` and the line parser read the same
+    numbers; outside it they differ (``np.loadtxt`` takes ``0,1\\x0b,2`` as
+    one row, ``str.splitlines`` splits it), so such text, and any text
+    ``np.loadtxt`` rejects, is left to the line parser.
+    """
+    end = text.find("\n")
+    first = text[:end]
+    header = tuple(first.split(","))
+    if end < 0 or header not in headers:
+        return None
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # Only the header's own bytes may survive deleting the row alphabet.
+    if data.translate(None, _ROW_BYTES) != first.encode("ascii").translate(None, _ROW_BYTES):
+        return None
+    with warnings.catch_warnings():
+        # An empty body only warns; the line parser reports it as EmptyInput.
+        warnings.simplefilter("error")
+        try:
+            # from the ASCII bytes: a StringIO would hold the text as UCS-4
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.float64, delimiter=",",
+                              comments=None, skiprows=1, ndmin=2, encoding="ascii")
+        except (ValueError, Warning):
+            return None
+    if rows.shape[1] != len(header) or not np.isfinite(rows).all():
+        return None
+    return header, rows
+
+
+def _read_table(source, headers, row_problem, width: int | None = None):
+    """``(header, rows)`` of a CSV source, the one reader of both CSV formats.
+
+    Canonical text goes through :func:`_fast_table`; everything else, and an
+    iterable of lines, through :func:`_parse_lines` (same arguments), which
+    gives the same values and raises the per-line errors.
+    """
+    text = _source_text(source)
+    if text is None:
+        lines = [line.rstrip("\r\n") for line in source]
+    else:
+        table = _fast_table(text, headers)
+        if table is not None:
+            return table
+        lines = text.splitlines()
+    return _parse_lines(lines, headers, row_problem, width)
+
+
+def _waveform_row_problem(values: list[float]) -> str | None:
+    return None if all(math.isfinite(v) for v in values) else "non-finite value"
+
+
+def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform:
+    """Parse and validate a waveform CSV.
+
+    The sample rate is taken from ``expected_rate_hz`` when given, otherwise
+    inferred from the timestamps (which needs at least two rows; see
+    :func:`check_time_grid`).  Raises the usual taxonomy errors on malformed
+    or inconsistent input.
+    """
+    header, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
+    cols = rows.T
     rate = check_time_grid(cols[0], expected_rate_hz)
     w = Waveform(
         t=cols[0],
@@ -230,15 +324,26 @@ def format_value(v: float) -> str:
     return format(float(v), f".{CSV_DIGITS}g")
 
 
+def _write_rows(stream: IO[str], header: tuple[str, ...], columns) -> None:
+    """Write ``header`` and the parallel ``columns`` as CSV rows (LF line endings).
+
+    Each chunk of rows is formatted by one ``%`` over its flattened values,
+    which gives the same text as :func:`format_value` on each value.
+    """
+    stream.write(",".join(header) + "\n")
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+        block = np.column_stack([c[start : start + _ROWS_PER_CHUNK] for c in columns])
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_waveform_csv(w: Waveform, stream: IO[str]) -> None:
     """Write the waveform in the canonical CSV format (LF line endings)."""
-    with_volume = w.volume is not None
-    stream.write(",".join(_HEADER_VOLUME if with_volume else _HEADER_BASE) + "\n")
-    for i in range(len(w)):
-        fields = [format_value(w.t[i]), format_value(w.flow[i]), format_value(w.pressure[i])]
-        if with_volume:
-            fields.append(format_value(w.volume[i]))
-        stream.write(",".join(fields) + "\n")
+    if w.volume is None:
+        _write_rows(stream, _HEADER_BASE, (w.t, w.flow, w.pressure))
+    else:
+        _write_rows(stream, _HEADER_VOLUME, (w.t, w.flow, w.pressure, w.volume))
 
 
 def waveform_to_csv(w: Waveform) -> str:

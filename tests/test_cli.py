@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -426,3 +427,62 @@ class TestPipeline:
         code, _, _ = run_cli(["pipeline", "--seed", "7", "--ground-truth", str(gt)])
         assert code == 0
         assert json.loads(gt.read_text().splitlines()[0]) == {"start_s": 45.0, "end_s": 47.0}
+
+
+class TestNoiseFree:
+    # Every hold length of the benchmark's batch (0.5 to 5.9 s): with no
+    # noise the hold's log-scores are all equal, and their mean must not
+    # come out above their peak.
+    @pytest.mark.parametrize("tenths", range(5, 60))
+    def test_pipeline_finds_clean_hold(self, tenths):
+        length = tenths / 10
+        code, out, err = run_cli([
+            "pipeline", "--seed", "1", "--duration-s", "16", "--hold", f"8:{length}",
+            "--noise-sd-flow", "0", "--noise-sd-pressure", "0",
+        ])
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 1
+        assert records[0]["start_s"] == pytest.approx(8.0, abs=0.2)
+        assert records[0]["end_s"] == pytest.approx(8.0 + length, abs=0.2)
+
+
+class TestNoDataRows:
+    WAVE_EMPTY = ("t,flow,pressure\n", "t,flow,pressure\n\n\n", "# no samples\n")
+    TRACE_EMPTY = ("t,log_score\n", "# no samples\n")
+
+    def assert_clean_failure(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert caught == []
+
+    @pytest.mark.parametrize("text", WAVE_EMPTY)
+    def test_score(self, tmp_path, text):
+        wave = tmp_path / "w.csv"
+        wave.write_text(text)
+        self.assert_clean_failure(["score", str(wave)])
+
+    @pytest.mark.parametrize("text", TRACE_EMPTY)
+    def test_detect_trace(self, tmp_path, text):
+        wave, trace = tmp_path / "w.csv", tmp_path / "t.csv"
+        wave.write_text(VALID_WAVE)
+        trace.write_text(text)
+        self.assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
+
+    @pytest.mark.parametrize("text", WAVE_EMPTY)
+    def test_detect_waveform(self, tmp_path, text):
+        wave, trace = tmp_path / "w.csv", tmp_path / "t.csv"
+        wave.write_text(text)
+        trace.write_text("t,log_score\n0,-1\n0.01,-1\n0.02,-1\n")
+        self.assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
+
+    @pytest.mark.parametrize("text", WAVE_EMPTY)
+    def test_report(self, tmp_path, text):
+        wave, segs = tmp_path / "w.csv", tmp_path / "s.ndjson"
+        wave.write_text(text)
+        segs.write_text("")
+        self.assert_clean_failure(["report", str(wave), "--segments", str(segs)])

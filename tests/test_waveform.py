@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from holdscan import (
     NonFiniteInput,
     NonMonotonicTime,
     NonUniformSampling,
+    ScoreTrace,
     Waveform,
+    load_score_trace_csv,
     load_waveform_csv,
     validate_waveform,
     waveform_to_csv,
+    write_score_trace_csv,
 )
 from holdscan.waveform import check_time_grid, format_value
 
@@ -160,6 +164,12 @@ class TestValidate:
         with pytest.raises(MalformedRow):
             validate_waveform(w)
 
+    def test_failure_is_not_remembered(self):
+        w = make_waveform([1.0, float("nan")], [2.0, 3.0])
+        for _ in range(2):
+            with pytest.raises(NonFiniteInput):
+                validate_waveform(w)
+
     def test_channels_read_only(self):
         w = make_waveform([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(ValueError):
@@ -190,13 +200,38 @@ class TestTimeGrid:
 
 # values in a physiological-to-extreme range; 9 significant digits quantize
 # at most 5e-9 relative, which is what the first serialization may lose
-_value = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+_value = st.one_of(
+    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+    st.sampled_from([
+        -0.0,
+        5e-324,  # smallest subnormal
+        1.5e-310,  # subnormal
+        2.2250738585072014e-308,  # smallest normal
+        1e300,
+        -1e300,
+        9.9999999996,  # rounds up across a decade: "10"
+        -0.00099999999996,  # "-0.001"
+        999999999.6,  # "1e+09"
+        99999.9999996,  # "100000"
+    ]),
+)
+# log-scores include -inf and values whose exp() underflows to 0
+_log_score = st.one_of(
+    st.floats(min_value=-2000.0, max_value=27.6, allow_nan=False),
+    st.sampled_from([-np.inf, -745.2, -800.0, -1e300, 9.99999999951]),
+)
+
+
+def _csv_oracle(header, columns):
+    """The CSV text written one value at a time with format_value."""
+    rows = (",".join(format_value(v) for v in row) + "\n" for row in zip(*columns))
+    return header + "\n" + "".join(rows)
 
 
 class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(
-        rows=st.lists(st.tuples(_value, _value, _value), min_size=1, max_size=40),
+        rows=st.lists(st.tuples(_value, _value, _value, _log_score), min_size=1, max_size=40),
         rate=st.sampled_from([50.0, 100.0, 250.0, 1000.0]),
     )
     def test_serialize_load_serialize(self, rows, rate):
@@ -205,6 +240,7 @@ class TestRoundTrip:
         volume = np.asarray([r[2] for r in rows])
         w = make_waveform(flow, pressure, rate=rate, volume=volume)
         text1 = waveform_to_csv(w)
+        assert text1 == _csv_oracle("t,flow,pressure,volume", (w.t, w.flow, w.pressure, w.volume))
         w2 = load_waveform_csv(text1, expected_rate_hz=rate)
         assert len(w2) == len(w)
         # first pass may quantize, but never beyond the 9-digit tick
@@ -218,8 +254,118 @@ class TestRoundTrip:
         assert np.array_equal(w2.pressure, w3.pressure)
         assert np.array_equal(w2.volume, w3.volume)
 
+        # the score trace goes through the same writer and reader
+        trace = ScoreTrace(log_scores=[r[3] for r in rows], sample_rate_hz=rate)
+        with np.errstate(under="ignore", over="ignore"):
+            linear = np.exp(trace.log_scores)
+        for with_linear in (False, True):
+            buf = io.StringIO()
+            write_score_trace_csv(w.t, trace, buf, linear=with_linear)
+            text1 = buf.getvalue()
+            if with_linear:
+                expected = _csv_oracle("t,log_score,score", (w.t, trace.log_scores, linear))
+                assert all(line.endswith(",0") for line, ls in zip(text1.splitlines()[1:], trace.log_scores)
+                           if ls < -746.0)
+            else:
+                expected = _csv_oracle("t,log_score", (w.t, trace.log_scores))
+            assert text1 == expected
+            t2, trace2 = load_score_trace_csv(text1, expected_rate_hz=rate)
+            buf = io.StringIO()
+            write_score_trace_csv(t2, trace2, buf, linear=with_linear)
+            _, trace3 = load_score_trace_csv(buf.getvalue(), expected_rate_hz=rate)
+            assert trace3.log_scores.tobytes() == trace2.log_scores.tobytes()
+            if not with_linear:
+                # the linear column is exp() of the unrounded log-score, so
+                # only the two-column layout is a fixpoint from the first pass
+                assert buf.getvalue() == text1
+
     def test_negative_zero_stable(self):
         w = make_waveform([-0.0, 1.0], [0.0, -0.0])
         text1 = waveform_to_csv(w)
         text2 = waveform_to_csv(load_waveform_csv(text1))
         assert text1 == text2
+
+
+# str.splitlines() breaks a line at each of these; np.loadtxt only at \r and
+# \n, and strips the others as whitespace
+_SPLIT = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r", "\n"]
+_NOISE = _SPLIT + ["#", " ", "\t", "_", "nan", "inf", "\uff11", ",", ".", "-", "e", "0", "1e999", ""]
+# whole fields that either reader may take differently from the other
+_FIELDS = ["1e999", "-1e999", "nan", "-inf", "", "1_0", "\uff11", " 5 ", "+.5E-3"]
+_CANONICAL = ["t,flow,pressure", "t,flow,pressure,volume", "t,log_score", "t,log_score,score"]
+_HEADERS = _CANONICAL * 2 + ["t,flow", "# comment", ""]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly canonical CSV text (valid grid, 9-digit values) with a few edits."""
+    header = draw(st.sampled_from(_HEADERS))
+    fields = len(header.split(","))
+    # rows mostly as wide as the header, else consistently of another width
+    width = draw(st.sampled_from([fields, fields, fields, 1, 2, 3, 4]))
+    rate = draw(st.sampled_from([100.0, 250.0]))
+    n = draw(st.sampled_from([3, 2, 4, 1, 0]))
+    rows = [[format_value(i / rate)] + [format_value(draw(_value)) for _ in range(width - 1)]
+            for i in range(n)]
+    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    for _ in range(draw(st.sampled_from([1, 2, 0]))):
+        # fields start after a delimiter; next to one, a line break splits a row
+        starts = [i + 1 for i, c in enumerate(text) if c == "," and i > len(header)]
+        kind = draw(st.sampled_from(["delimiter", "field", "field", "anywhere"]))
+        if kind == "delimiter" and starts:
+            at = draw(st.sampled_from(starts)) - draw(st.integers(0, 1))
+            text = text[:at] + draw(st.sampled_from(_SPLIT) | st.sampled_from(_NOISE)) + text[at:]
+        elif kind == "field" and starts:
+            at = stop = draw(st.sampled_from(starts))
+            while stop < len(text) and text[stop] not in ",\n":
+                stop += 1
+            text = text[:at] + draw(st.sampled_from(_FIELDS)) + text[stop:]
+        else:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(_NOISE)) + text[at + draw(st.integers(0, 1)):]
+    return text, draw(st.sampled_from([None, rate]))
+
+
+def _waveform_outcome(text, rate):
+    w = load_waveform_csv(text, rate)
+    volume = None if w.volume is None else w.volume.tobytes()
+    return w.t.tobytes(), w.flow.tobytes(), w.pressure.tobytes(), volume, w.sample_rate_hz
+
+
+def _trace_outcome(text, rate):
+    t, trace = load_score_trace_csv(text, rate)
+    return t.tobytes(), trace.log_scores.tobytes(), trace.sample_rate_hz
+
+
+def _outcome(load, text, rate):
+    try:
+        return load(text, rate)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFastReader:
+    """The np.loadtxt path against the line parser, its oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_csv_texts())
+    def test_matches_line_parser(self, case):
+        text, rate = case
+        for load in (_waveform_outcome, _trace_outcome):
+            fast = _outcome(load, text, rate)
+            with mock.patch("holdscan.waveform._fast_table", return_value=None):
+                legacy = _outcome(load, text, rate)
+            assert fast == legacy
+
+    def test_writer_output_takes_fast_path(self):
+        w = make_waveform([1.0, -2.5e-7, 3.0], [4.0, 1e300, 6.0], volume=np.array([0.0, 0.1, -0.0]))
+        trace = ScoreTrace(log_scores=[-1.0, -800.0, 27.5], sample_rate_hz=100.0)
+        texts = []
+        for linear in (False, True):
+            buf = io.StringIO()
+            write_score_trace_csv(w.t, trace, buf, linear=linear)
+            texts.append(buf.getvalue())
+        with mock.patch("holdscan.waveform._parse_lines", side_effect=AssertionError("slow path")):
+            assert load_waveform_csv(waveform_to_csv(w)).flow.tolist() == [1.0, -2.5e-7, 3.0]
+            for text in texts:
+                assert load_score_trace_csv(text)[1].log_scores.tolist() == [-1.0, -800.0, 27.5]
