@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from holdscan import DetectionConfig, MockConfig, detect_holds, generate_mock_waveform, score_series
+from hits import boundary_errors, false_segments, is_exact_hit
 
 DEFAULT_SEEDS = 100
 DEFAULT_FIRST_SEED = 1
@@ -43,27 +44,18 @@ def main(argv=None):
 
     exact = 0
     clean = 0
-    boundary_errors = []
+    errors = []
     t0 = time.perf_counter()
     if not args.quiet:
         print(f"{'seed':>6} {'n':>3} {'start_s':>9} {'end_s':>9} {'err_start':>9} {'err_end':>9}")
     for seed in range(args.first_seed, args.first_seed + args.seeds):
-        segments, (true_start, true_end) = run_one(seed)
-        hit = (
-            len(segments) == 1
-            and abs(segments[0].start_s - true_start) <= args.tolerance_s
-            and abs(segments[0].end_s - true_end) <= args.tolerance_s
-        )
-        false = [
-            seg for seg in segments
-            if not (true_start - args.false_margin_s <= seg.start_s
-                    and seg.end_s <= true_end + args.false_margin_s)
-        ]
+        segments, truth = run_one(seed)
+        true_start, true_end = truth
+        hit = is_exact_hit(segments, truth, args.tolerance_s)
         exact += hit
-        clean += not false
+        clean += not false_segments(segments, truth, args.false_margin_s)
         if hit:
-            boundary_errors.append(abs(segments[0].start_s - true_start))
-            boundary_errors.append(abs(segments[0].end_s - true_end))
+            errors.extend(boundary_errors(segments[0], truth))
         if not args.quiet:
             if segments:
                 s = segments[0]
@@ -73,7 +65,7 @@ def main(argv=None):
                 print(f"{seed:>6} {len(segments):>3} {'-':>9} {'-':>9} {'-':>9} {'-':>9}")
     elapsed = time.perf_counter() - t0
 
-    errs = np.array(boundary_errors) if boundary_errors else np.array([np.nan])
+    errs = np.array(errors) if errors else np.array([np.nan])
     print()
     print(f"seeds run            : {args.seeds}")
     print(f"exact hits (+/-{args.tolerance_s} s) : {exact}/{args.seeds}")

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from holdscan import DetectionConfig, MockConfig, detect_holds, generate_mock_waveform, score_series
+from hits import boundary_errors, false_segments, is_exact_hit
 
 DEFAULT_THRESHOLDS = (-20.0, -18.0, -16.0, -14.0, -12.0, -10.0, -8.0, -6.0, -4.0)
 DEFAULT_HYSTERESIS = 4.0
@@ -30,22 +31,12 @@ def sweep_point(on, hysteresis, tolerance_s, false_margin_s, traces):
     exact = 0
     false_runs = 0
     errors = []
-    for trace, (true_start, true_end) in traces:
+    for trace, truth in traces:
         segments = detect_holds(trace, cfg)
-        if (
-            len(segments) == 1
-            and abs(segments[0].start_s - true_start) <= tolerance_s
-            and abs(segments[0].end_s - true_end) <= tolerance_s
-        ):
+        if is_exact_hit(segments, truth, tolerance_s):
             exact += 1
-            errors.append(abs(segments[0].start_s - true_start))
-            errors.append(abs(segments[0].end_s - true_end))
-        if any(
-            not (true_start - false_margin_s <= seg.start_s
-                 and seg.end_s <= true_end + false_margin_s)
-            for seg in segments
-        ):
-            false_runs += 1
+            errors.extend(boundary_errors(segments[0], truth))
+        false_runs += bool(false_segments(segments, truth, false_margin_s))
     mean_err = float(np.mean(errors)) if errors else float("nan")
     return exact, false_runs, mean_err
 

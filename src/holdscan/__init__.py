@@ -2,11 +2,13 @@
 
 Typical use:
 
-    from holdscan import MockConfig, generate_mock_waveform, score_series, detect_holds
+    from holdscan import (MockConfig, detect_holds, generate_mock_waveform, report_hold,
+                          score_series, segment_record, summarize_segment)
 
     w, truth = generate_mock_waveform(MockConfig(rng_seed=7))
     trace = score_series(w)
     segments = detect_holds(trace)
+    reports = [report_hold(w, segment_record(summarize_segment(w, s))) for s in segments]
 """
 
 from .detection import (
@@ -24,7 +26,6 @@ from .errors import (
     DegenerateFlow,
     EmptyInput,
     HoldscanError,
-    IndexOutOfBounds,
     InvalidConfig,
     InvalidRange,
     MalformedRow,
@@ -34,11 +35,11 @@ from .errors import (
     NonUniformSampling,
 )
 from .mechanics import (
-    MechanicsEstimate,
     MechanicsInput,
     estimate_compliance,
     estimate_resistance,
     integrate_volume,
+    report_hold,
 )
 from .mockgen import GroundTruth, MockConfig, generate_mock_waveform
 from .scoring import (
@@ -54,7 +55,6 @@ from .scoring import (
     write_score_trace_csv,
 )
 from .waveform import (
-    Sample,
     Waveform,
     load_waveform_csv,
     validate_waveform,
@@ -77,7 +77,6 @@ __all__ = [
     "DegenerateFlow",
     "EmptyInput",
     "HoldscanError",
-    "IndexOutOfBounds",
     "InvalidConfig",
     "InvalidRange",
     "MalformedRow",
@@ -85,11 +84,11 @@ __all__ = [
     "NonMonotonicTime",
     "NonPositiveVariance",
     "NonUniformSampling",
-    "MechanicsEstimate",
     "MechanicsInput",
     "estimate_compliance",
     "estimate_resistance",
     "integrate_volume",
+    "report_hold",
     "GroundTruth",
     "MockConfig",
     "generate_mock_waveform",
@@ -103,7 +102,6 @@ __all__ = [
     "score_series",
     "window_log_evidence",
     "write_score_trace_csv",
-    "Sample",
     "Waveform",
     "load_waveform_csv",
     "validate_waveform",

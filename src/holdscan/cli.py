@@ -35,17 +35,8 @@ from .detection import (
     summarize_segment,
     write_segments_ndjson,
 )
-from .errors import HoldscanError, IndexOutOfBounds, InvalidConfig, MalformedRow
-from .mechanics import (
-    HEURISTICS_NOTE,
-    MechanicsInput,
-    estimate_compliance,
-    estimate_resistance,
-    last_positive_flow_before,
-    peak_pressure_before,
-    peep_estimate,
-    tidal_volume_before,
-)
+from .errors import HoldscanError, InvalidConfig, MalformedRow
+from .mechanics import report_hold
 from .mockgen import MockConfig, generate_mock_waveform
 from .scoring import (
     ModelParams,
@@ -100,73 +91,8 @@ def _segments_text(records: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _report_record(w, rec: dict, peep_override: float | None) -> dict:
-    start, end = rec["start_index"], rec["end_index"]
-    if not (0 <= start < end <= len(w)):
-        raise IndexOutOfBounds(
-            f"segment [{start}, {end}) exceeds waveform length {len(w)}"
-        )
-    out = {
-        "start_s": rec["start_s"],
-        "end_s": rec["end_s"],
-        "start_index": start,
-        "end_index": end,
-        "plateau_pressure_cmh2o": rec["mean_pressure"],
-    }
-    reasons: dict[str, str] = {}
-
-    peak = peak_pressure_before(w, start)
-    if peak is None:
-        reasons["peak_pressure_cmh2o"] = "no samples before the hold"
-    else:
-        out["peak_pressure_cmh2o"] = peak
-
-    peep = float(peep_override) if peep_override is not None else peep_estimate(w, start)
-    out["peep_cmh2o"] = peep
-
-    vt = tidal_volume_before(w, start)
-    if vt is None:
-        reasons["tidal_volume_l"] = "no volume rise in the lookback window"
-    else:
-        out["tidal_volume_l"] = vt
-
-    flow = last_positive_flow_before(w, start)
-    if flow is None:
-        reasons["end_inspiratory_flow_lps"] = "no positive flow in the pre-hold window"
-    else:
-        out["end_inspiratory_flow_lps"] = flow
-
-    if peak is None or vt is None or flow is None:
-        missing = ", ".join(sorted(reasons))
-        reasons["compliance_l_per_cmh2o"] = f"missing inputs: {missing}"
-        reasons["resistance_cmh2o_per_lps"] = f"missing inputs: {missing}"
-    else:
-        mech_in = MechanicsInput(
-            plateau_pressure=rec["mean_pressure"],
-            peak_pressure=peak,
-            peep=peep,
-            tidal_volume=vt,
-            end_inspiratory_flow=flow,
-        )
-        try:
-            out["compliance_l_per_cmh2o"] = estimate_compliance(mech_in)
-        except HoldscanError as exc:
-            reasons["compliance_l_per_cmh2o"] = str(exc)
-        try:
-            out["resistance_cmh2o_per_lps"] = estimate_resistance(mech_in)
-        except HoldscanError as exc:
-            reasons["resistance_cmh2o_per_lps"] = str(exc)
-
-    if reasons:
-        out["unavailable"] = reasons
-    out["note"] = HEURISTICS_NOTE
-    return out
-
-
-def _stage_report(w: Waveform, records: list[dict], peep_override: float | None = None) -> str:
-    return "".join(
-        json.dumps(_report_record(w, rec, peep_override)) + "\n" for rec in records
-    )
+def _stage_report(w: Waveform, records: list[dict], peep: float | None = None) -> str:
+    return "".join(json.dumps(report_hold(w, rec, peep)) + "\n" for rec in records)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +234,15 @@ def _mock_config_from(ns: argparse.Namespace) -> MockConfig:
 
 
 def _read_input(path: str, stdin) -> str:
-    if path == "-":
-        data = stdin.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            data = stdin.read()
+            return data.decode("utf-8") if isinstance(data, bytes) else data
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise MalformedRow(f"{name} is not UTF-8 text: {exc}") from None
 
 
 def _write_output(path: str | None, text: str, stdout) -> None:

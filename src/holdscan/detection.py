@@ -22,9 +22,9 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import IndexOutOfBounds, InvalidConfig, MalformedRow
+from .errors import InvalidConfig, InvalidRange, MalformedRow
 from .scoring import ScoreTrace
-from .waveform import Waveform, _decode_lines, validate_waveform
+from .waveform import Waveform, _decode_lines
 
 # Keys of one exported segment record, in canonical output order.
 SEGMENT_RECORD_KEYS = (
@@ -88,7 +88,6 @@ class HoldSummary:
     segment: HoldSegment
     mean_pressure: float  # cmH2O; plateau pressure estimate
     mean_flow: float  # L/min
-    mean_abs_flow: float  # L/min
 
 
 def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig()) -> list[HoldSegment]:
@@ -144,18 +143,15 @@ def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig())
 
 def summarize_segment(w: Waveform, seg: HoldSegment) -> HoldSummary:
     """Channel means over the segment; the waveform must be the trace's source."""
-    validate_waveform(w)
     if seg.end_index > len(w):
-        raise IndexOutOfBounds(
+        raise InvalidRange(
             f"segment [{seg.start_index}, {seg.end_index}) exceeds waveform length {len(w)}"
         )
-    flow = w.flow[seg.start_index : seg.end_index]
-    pressure = w.pressure[seg.start_index : seg.end_index]
+    sl = slice(seg.start_index, seg.end_index)
     return HoldSummary(
         segment=seg,
-        mean_pressure=float(np.mean(pressure)),
-        mean_flow=float(np.mean(flow)),
-        mean_abs_flow=float(np.mean(np.abs(flow))),
+        mean_pressure=float(np.mean(w.pressure[sl])),
+        mean_flow=float(np.mean(w.flow[sl])),
     )
 
 
@@ -196,13 +192,17 @@ def read_segments_ndjson(source) -> list[dict]:
             raise MalformedRow(
                 f"line {lineno}: expected exactly keys {SEGMENT_RECORD_KEYS}"
             )
-        for key in ("start_index", "end_index"):
-            if not isinstance(obj[key], int):
-                raise MalformedRow(f"line {lineno}: {key} must be an integer")
         for key in SEGMENT_RECORD_KEYS:
+            value = obj[key]
             if key.endswith("_index"):
-                continue
-            if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise MalformedRow(f"line {lineno}: {key} must be an integer")
+            elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise MalformedRow(f"line {lineno}: {key} must be a number")
+        if not 0 <= obj["start_index"] < obj["end_index"]:
+            raise MalformedRow(
+                f"line {lineno}: indices must satisfy 0 <= start_index < end_index, "
+                f"got [{obj['start_index']}, {obj['end_index']})"
+            )
         records.append({k: obj[k] for k in SEGMENT_RECORD_KEYS})
     return records

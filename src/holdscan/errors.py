@@ -44,10 +44,6 @@ class InvalidConfig(HoldscanError):
     """A configuration object or argument violates its invariants."""
 
 
-class IndexOutOfBounds(HoldscanError):
-    """Segment indices fall outside the waveform they refer to."""
-
-
 class DegenerateDrivingPressure(HoldscanError):
     """Plateau pressure does not exceed PEEP, so compliance is undefined."""
 

@@ -8,7 +8,8 @@ pressure and the textbook single-compartment estimates apply:
 
 where flow is the end-inspiratory flow just before the hold.  Everything else
 in this module is plumbing to pull those five numbers out of a waveform and a
-detected segment.  The where-to-read-from choices are heuristics, flagged in
+detected segment, and :func:`report_hold` assembles them into one report
+record per hold.  The where-to-read-from choices are heuristics, flagged in
 the report output: peak pressure and last positive flow come from a 1.0 s
 window before the hold, tidal volume from the volume rise over a 5.0 s
 lookback, and PEEP (when not supplied) from a low percentile of the lookback
@@ -25,11 +26,12 @@ import numpy as np
 from .errors import (
     DegenerateDrivingPressure,
     DegenerateFlow,
+    HoldscanError,
     InvalidConfig,
     InvalidRange,
     NonFiniteInput,
 )
-from .waveform import Waveform, validate_waveform
+from .waveform import Waveform
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -40,7 +42,7 @@ VOLUME_LOOKBACK_S = 5.0
 # Percentile of lookback pressure used as the PEEP estimate.
 PEEP_PERCENTILE = 10.0
 
-# Human-readable note attached to every CLI report record.
+# Human-readable note attached to every report record.
 HEURISTICS_NOTE = (
     f"heuristic inputs: peak pressure and last positive flow from the {PRE_WINDOW_S} s "
     f"window before the hold; tidal volume and PEEP percentile from a {VOLUME_LOOKBACK_S} s lookback"
@@ -68,15 +70,8 @@ class MechanicsInput:
                 raise NonFiniteInput(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class MechanicsEstimate:
-    compliance: float  # L/cmH2O
-    resistance: float  # cmH2O/(L/s)
-
-
 def integrate_volume(w: Waveform, start_index: int, end_index_exclusive: int) -> float:
     """Trapezoidal integral of flow over [start, end), in litres."""
-    validate_waveform(w)
     if not (0 <= start_index < end_index_exclusive <= len(w)):
         raise InvalidRange(
             f"window [{start_index}, {end_index_exclusive}) out of bounds for {len(w)} samples"
@@ -170,3 +165,70 @@ def peep_estimate(
     lo = max(0, index - int(round(lookback_s * w.sample_rate_hz)))
     window = w.pressure[lo : index + 1]
     return float(np.percentile(window, percentile))
+
+
+def report_hold(w: Waveform, record: dict, peep: float | None = None) -> dict:
+    """Mechanics report of one detected hold.
+
+    ``record`` is a segment record (:func:`holdscan.detection.segment_record`
+    or a line of :func:`holdscan.detection.read_segments_ndjson`); its
+    ``mean_pressure`` is the plateau pressure.  PEEP is ``peep`` when given,
+    otherwise estimated.  A value that cannot be derived is left out, and the
+    record's ``unavailable`` mapping says why.
+    """
+    start, end = record["start_index"], record["end_index"]
+    if not (0 <= start < end <= len(w)):
+        raise InvalidRange(f"segment [{start}, {end}) exceeds waveform length {len(w)}")
+    out = {
+        "start_s": record["start_s"],
+        "end_s": record["end_s"],
+        "start_index": start,
+        "end_index": end,
+        "plateau_pressure_cmh2o": record["mean_pressure"],
+    }
+    reasons: dict[str, str] = {}
+
+    peak = peak_pressure_before(w, start)
+    if peak is None:
+        reasons["peak_pressure_cmh2o"] = "no samples before the hold"
+    else:
+        out["peak_pressure_cmh2o"] = peak
+
+    peep = float(peep) if peep is not None else peep_estimate(w, start)
+    out["peep_cmh2o"] = peep
+
+    vt = tidal_volume_before(w, start)
+    if vt is None:
+        reasons["tidal_volume_l"] = "no volume rise in the lookback window"
+    else:
+        out["tidal_volume_l"] = vt
+
+    flow = last_positive_flow_before(w, start)
+    if flow is None:
+        reasons["end_inspiratory_flow_lps"] = "no positive flow in the pre-hold window"
+    else:
+        out["end_inspiratory_flow_lps"] = flow
+
+    if peak is None or vt is None or flow is None:
+        missing = ", ".join(sorted(reasons))
+        reasons["compliance_l_per_cmh2o"] = f"missing inputs: {missing}"
+        reasons["resistance_cmh2o_per_lps"] = f"missing inputs: {missing}"
+    else:
+        inputs = MechanicsInput(
+            plateau_pressure=record["mean_pressure"],
+            peak_pressure=peak,
+            peep=peep,
+            tidal_volume=vt,
+            end_inspiratory_flow=flow,
+        )
+        for key, estimate in (("compliance_l_per_cmh2o", estimate_compliance),
+                              ("resistance_cmh2o_per_lps", estimate_resistance)):
+            try:
+                out[key] = estimate(inputs)
+            except HoldscanError as exc:
+                reasons[key] = str(exc)
+
+    if reasons:
+        out["unavailable"] = reasons
+    out["note"] = HEURISTICS_NOTE
+    return out

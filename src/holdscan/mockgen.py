@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .waveform import Waveform, validate_waveform
+from .waveform import Waveform
 
 # Exponential decay constant shared by inspiratory flow and expiratory
 # relaxation, in units of breath-phase fraction: the template falls to
@@ -171,7 +171,6 @@ def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform,
         np.cumsum(steps, out=volume[1:])
 
     w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=rate, volume=volume)
-    validate_waveform(w)
     truth = GroundTruth(
         hold_segments=tuple(sorted((s, s + d) for s, d in config.holds))
     )

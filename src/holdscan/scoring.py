@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteInput,
     NonPositiveVariance,
 )
-from .waveform import Waveform, _read_table, _write_rows, check_time_grid, validate_waveform
+from .waveform import Waveform, _read_table, _write_rows, check_time_grid
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
@@ -162,8 +162,7 @@ def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParam
 
 
 def score_series(w: Waveform, params: ModelParams = ModelParams()) -> ScoreTrace:
-    """Score every sample of a validated waveform; length is preserved."""
-    validate_waveform(w)
+    """Score every sample of a waveform; length is preserved."""
     return ScoreTrace(
         log_scores=_log_scores_array(w.flow, w.pressure, params),
         sample_rate_hz=w.sample_rate_hz,
@@ -178,7 +177,6 @@ def window_log_evidence(
     Exactly-rounded summation (math.fsum) keeps the value additive across
     window splits to within one final rounding.
     """
-    validate_waveform(w)
     n = len(w)
     if not (0 <= start_index < end_index_exclusive <= n):
         raise InvalidRange(
@@ -215,7 +213,7 @@ def write_score_trace_csv(t: np.ndarray, trace: ScoreTrace, stream: IO[str], lin
 
 
 def _trace_row_problem(values: list[float]) -> str | None:
-    t, log_score = values
+    t, log_score = values[:2]
     if not math.isfinite(t):
         return "non-finite timestamp"
     if math.isnan(log_score) or log_score == math.inf:
@@ -227,10 +225,11 @@ def load_score_trace_csv(source, expected_rate_hz: float | None = None) -> tuple
     """Parse a score CSV back into (t, ScoreTrace).
 
     Accepts the two- or three-column layout emitted by write_score_trace_csv;
-    only ``t`` and ``log_score`` are read.  Timestamps must be strictly
-    increasing and uniformly spaced, matching the waveform rules.
+    every field must be numeric, and only ``t`` and ``log_score`` are kept.
+    Timestamps must be strictly increasing and uniformly spaced, matching the
+    waveform rules.
     """
-    _, rows = _read_table(source, (_TRACE_HEADER, _TRACE_HEADER_LINEAR), _trace_row_problem, width=2)
+    _, rows = _read_table(source, (_TRACE_HEADER, _TRACE_HEADER_LINEAR), _trace_row_problem)
     t = rows[:, 0].copy()
     rate = check_time_grid(t, expected_rate_hz)
     return t, ScoreTrace(log_scores=rows[:, 1], sample_rate_hz=rate)

@@ -2,9 +2,9 @@
 
 A recording is a uniformly sampled time series of airflow (L/min) and airway
 pressure (cmH2O), optionally with an inspired-volume channel (L).  Channels
-are stored as read-only float64 arrays; :func:`validate_waveform` enforces the
-invariants every downstream consumer relies on (strictly increasing
-timestamps, uniform spacing, finite values).
+are stored as read-only float64 arrays, and building a :class:`Waveform`
+checks the invariants every downstream consumer relies on (strictly
+increasing timestamps, uniform spacing, finite values).
 
 CSV format: header line ``t,flow,pressure`` or ``t,flow,pressure,volume``,
 comma-separated decimal values, UTF-8, LF or CRLF line endings, lines starting
@@ -53,18 +53,8 @@ _ROW_BYTES = b"0123456789.+-e,\n"
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One time point of a recording."""
-
-    t: float  # seconds
-    flow: float  # L/min
-    pressure: float  # cmH2O
-    volume: float | None = None  # L, optional
-
-
-@dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled recording; channels are parallel read-only arrays."""
+    """Uniformly sampled recording, checked when built; channels are parallel read-only arrays."""
 
     t: np.ndarray
     flow: np.ndarray
@@ -83,41 +73,41 @@ class Waveform:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        validate_waveform(self)
 
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """The recording as a tuple of per-point samples (built on demand)."""
-        vol = self.volume
-        return tuple(
-            Sample(
-                float(self.t[i]),
-                float(self.flow[i]),
-                float(self.pressure[i]),
-                None if vol is None else float(vol[i]),
-            )
-            for i in range(len(self.t))
+
+def _check_grid(t: np.ndarray, rate: float) -> None:
+    """Raise unless ``t`` is strictly increasing with spacing ``1 / rate``."""
+    if len(t) < 2:
+        return
+    dt = np.diff(t)
+    if not np.all(dt > 0):
+        bad = int(np.flatnonzero(dt <= 0)[0])
+        raise NonMonotonicTime(
+            f"timestamps not strictly increasing at index {bad + 1} "
+            f"(t={float(t[bad])!r} then t={float(t[bad + 1])!r})"
+        )
+    nominal = 1.0 / rate
+    dev = float(np.max(np.abs(dt - nominal)))
+    if dev > SPACING_RTOL * nominal:
+        raise NonUniformSampling(
+            f"timestamp spacing deviates from {nominal} s by {dev} "
+            f"(allowed {SPACING_RTOL * nominal})"
         )
 
 
 def validate_waveform(w: Waveform) -> None:
-    """Raise a taxonomy error unless all waveform invariants hold.
-
-    A waveform that passed is not checked again: it is frozen and its
-    channels are read-only copies, so the result cannot change.
-    """
-    if getattr(w, "_validated", False):
-        return
+    """Raise a taxonomy error unless all waveform invariants hold."""
     n = len(w.t)
     if n == 0:
         raise EmptyInput("waveform has no samples")
-    for name in ("flow", "pressure"):
-        if len(getattr(w, name)) != n:
+    for name in ("flow", "pressure", "volume"):
+        arr = getattr(w, name)
+        if arr is not None and len(arr) != n:
             raise MalformedRow(f"channel {name!r} length differs from t")
-    if w.volume is not None and len(w.volume) != n:
-        raise MalformedRow("volume channel length differs from t")
     if not math.isfinite(w.sample_rate_hz) or w.sample_rate_hz <= 0:
         raise InvalidConfig(f"sample_rate_hz must be positive and finite, got {w.sample_rate_hz}")
     for name in ("t", "flow", "pressure", "volume"):
@@ -125,22 +115,7 @@ def validate_waveform(w: Waveform) -> None:
         if arr is not None and not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NonFiniteInput(f"channel {name!r} has a non-finite value at index {bad}")
-    if n >= 2:
-        dt = np.diff(w.t)
-        if not np.all(dt > 0):
-            bad = int(np.flatnonzero(dt <= 0)[0])
-            raise NonMonotonicTime(
-                f"timestamps not strictly increasing at index {bad + 1} "
-                f"(t={w.t[bad]!r} then t={w.t[bad + 1]!r})"
-            )
-        nominal = 1.0 / w.sample_rate_hz
-        dev = np.max(np.abs(dt - nominal))
-        if dev > SPACING_RTOL * nominal:
-            raise NonUniformSampling(
-                f"timestamp spacing deviates from {nominal} s by {dev} "
-                f"(allowed {SPACING_RTOL * nominal})"
-            )
-    object.__setattr__(w, "_validated", True)
+    _check_grid(w.t, w.sample_rate_hz)
 
 
 def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
@@ -153,46 +128,33 @@ def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> flo
     drift a serialized-and-reparsed grid picks up.  A single timestamp carries
     no spacing information and requires an explicit rate.
     """
-    if expected_rate_hz is not None and (
-        not math.isfinite(expected_rate_hz) or expected_rate_hz <= 0
-    ):
+    if expected_rate_hz is not None and not 0 < expected_rate_hz < math.inf:
         raise InvalidConfig(f"expected_rate_hz must be positive, got {expected_rate_hz}")
     if len(t) == 0:
         raise EmptyInput("no timestamps")
-    if len(t) == 1:
-        if expected_rate_hz is None:
-            raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
-        return float(expected_rate_hz)
-    dt = np.diff(t)
-    if not np.all(dt > 0):
-        bad = int(np.flatnonzero(dt <= 0)[0])
-        raise NonMonotonicTime(f"timestamps not strictly increasing at row {bad + 2}")
     if expected_rate_hz is not None:
         rate = float(expected_rate_hz)
+    elif len(t) == 1:
+        raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
     else:
-        rate = (len(t) - 1) / float(t[-1] - t[0])
-        if round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
+        span = float(t[-1] - t[0])
+        # a span <= 0 fails the monotonicity check whatever the rate
+        rate = (len(t) - 1) / span if span > 0 else 1.0
+        if rate < math.inf and round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
             rate = float(round(rate))
-    nominal = 1.0 / rate
-    dev = float(np.max(np.abs(dt - nominal)))
-    if dev > SPACING_RTOL * nominal:
-        raise NonUniformSampling(
-            f"timestamp spacing deviates from {nominal} s by {dev} "
-            f"(allowed {SPACING_RTOL * nominal})"
-        )
+    _check_grid(t, rate)
     return rate
 
 
 def _source_text(source: IO | Iterable[str] | bytes | str) -> str | None:
     """The whole text of a str, bytes or file source; None for an iterable of lines."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    return None
+    try:
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"input is not UTF-8 text: {exc}") from None
+    return data if isinstance(data, str) else None
 
 
 def _decode_lines(source: IO | Iterable[str] | bytes | str) -> list[str]:
@@ -202,13 +164,13 @@ def _decode_lines(source: IO | Iterable[str] | bytes | str) -> list[str]:
     return text.splitlines()
 
 
-def _parse_lines(lines: list[str], headers, row_problem, width: int | None = None):
+def _parse_lines(lines: list[str], headers, row_problem):
     """Line-by-line CSV parser: ``(header, rows)``, rows as a 2-D float64 array.
 
     Blank lines and ``#`` lines are skipped; the first other line must be
-    one of ``headers``.  The first ``width`` fields of each row (all when
-    None) are parsed, and ``row_problem(values)`` names what is wrong with
-    them, or returns None.  Every error names the line it was found on.
+    one of ``headers``.  Every field of each row is parsed, and
+    ``row_problem(values)`` names what is wrong with them, or returns None.
+    Every error names the line it was found on.
     """
     header: tuple[str, ...] | None = None
     rows: list[list[float]] = []
@@ -227,7 +189,7 @@ def _parse_lines(lines: list[str], headers, row_problem, width: int | None = Non
                 f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
         try:
-            values = [float(f) for f in fields[:width]]
+            values = [float(f) for f in fields]
         except ValueError:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}") from None
         problem = row_problem(values)
@@ -275,7 +237,7 @@ def _fast_table(text: str, headers):
     return header, rows
 
 
-def _read_table(source, headers, row_problem, width: int | None = None):
+def _read_table(source, headers, row_problem):
     """``(header, rows)`` of a CSV source, the one reader of both CSV formats.
 
     Canonical text goes through :func:`_fast_table`; everything else, and an
@@ -290,7 +252,7 @@ def _read_table(source, headers, row_problem, width: int | None = None):
         if table is not None:
             return table
         lines = text.splitlines()
-    return _parse_lines(lines, headers, row_problem, width)
+    return _parse_lines(lines, headers, row_problem)
 
 
 def _waveform_row_problem(values: list[float]) -> str | None:
@@ -308,15 +270,13 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
     header, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
     cols = rows.T
     rate = check_time_grid(cols[0], expected_rate_hz)
-    w = Waveform(
+    return Waveform(
         t=cols[0],
         flow=cols[1],
         pressure=cols[2],
         sample_rate_hz=rate,
         volume=cols[3] if len(header) == 4 else None,
     )
-    validate_waveform(w)
-    return w
 
 
 def format_value(v: float) -> str:

@@ -447,42 +447,66 @@ class TestNoiseFree:
         assert records[0]["end_s"] == pytest.approx(8.0 + length, abs=0.2)
 
 
+def assert_clean_failure(argv):
+    """Exit 1 with empty stdout, one ``error:`` line and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert caught == []
+
+
+class TestNotUtf8:
+    WAVE = b"t,flow,pressure\n0,0,15\n0.01,0,15\xff\n"
+
+    def test_file(self, tmp_path):
+        wave = tmp_path / "w.csv"
+        wave.write_bytes(self.WAVE)
+        assert_clean_failure(["score", str(wave)])
+
+    def test_segments_file(self, tmp_path):
+        wave, segs = tmp_path / "w.csv", tmp_path / "s.ndjson"
+        wave.write_text(VALID_WAVE)
+        segs.write_bytes(b"\xff\n")
+        assert_clean_failure(["report", str(wave), "--segments", str(segs)])
+
+    def test_binary_stdin(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["score", "-"], stdin=io.BytesIO(self.WAVE), stdout=out, stderr=err) == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: stdin is not UTF-8")
+        assert err.getvalue().count("\n") == 1
+
+
 class TestNoDataRows:
     WAVE_EMPTY = ("t,flow,pressure\n", "t,flow,pressure\n\n\n", "# no samples\n")
     TRACE_EMPTY = ("t,log_score\n", "# no samples\n")
-
-    def assert_clean_failure(self, argv):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert caught == []
 
     @pytest.mark.parametrize("text", WAVE_EMPTY)
     def test_score(self, tmp_path, text):
         wave = tmp_path / "w.csv"
         wave.write_text(text)
-        self.assert_clean_failure(["score", str(wave)])
+        assert_clean_failure(["score", str(wave)])
 
     @pytest.mark.parametrize("text", TRACE_EMPTY)
     def test_detect_trace(self, tmp_path, text):
         wave, trace = tmp_path / "w.csv", tmp_path / "t.csv"
         wave.write_text(VALID_WAVE)
         trace.write_text(text)
-        self.assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
+        assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
 
     @pytest.mark.parametrize("text", WAVE_EMPTY)
     def test_detect_waveform(self, tmp_path, text):
         wave, trace = tmp_path / "w.csv", tmp_path / "t.csv"
         wave.write_text(text)
         trace.write_text("t,log_score\n0,-1\n0.01,-1\n0.02,-1\n")
-        self.assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
+        assert_clean_failure(["detect", str(trace), "--waveform", str(wave)])
 
     @pytest.mark.parametrize("text", WAVE_EMPTY)
     def test_report(self, tmp_path, text):
         wave, segs = tmp_path / "w.csv", tmp_path / "s.ndjson"
         wave.write_text(text)
         segs.write_text("")
-        self.assert_clean_failure(["report", str(wave), "--segments", str(segs)])
+        assert_clean_failure(["report", str(wave), "--segments", str(segs)])

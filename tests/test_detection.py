@@ -11,8 +11,9 @@ from conftest import make_waveform
 from holdscan import (
     DetectionConfig,
     HoldSegment,
-    IndexOutOfBounds,
+    HoldscanError,
     InvalidConfig,
+    InvalidRange,
     MalformedRow,
     ScoreTrace,
     detect_holds,
@@ -229,14 +230,12 @@ class TestSummarize:
         summary = summarize_segment(w, seg)
         assert summary.mean_pressure == pytest.approx(15.0, abs=1e-12)
         assert summary.mean_flow == pytest.approx(1.0, abs=1e-12)
-        assert summary.mean_abs_flow == pytest.approx(5.0 / 3.0, rel=1e-12)
 
     def test_signed_flow_cancels(self):
         w = make_waveform([-1.0, 1.0], [15.0, 15.0])
         seg = detect_holds(trace_of([-2.0, -2.0]), DetectionConfig(min_duration_s=0.0))[0]
         summary = summarize_segment(w, seg)
         assert summary.mean_flow == pytest.approx(0.0, abs=1e-12)
-        assert summary.mean_abs_flow == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_bounds(self):
         w = make_waveform([0.0, 0.0], [15.0, 15.0])
@@ -248,7 +247,7 @@ class TestSummarize:
             peak_log_score=-2.0,
             mean_log_score=-2.0,
         )
-        with pytest.raises(IndexOutOfBounds):
+        with pytest.raises(InvalidRange):
             summarize_segment(w, seg)
 
 
@@ -322,6 +321,24 @@ class TestNdjson:
         rec["start_index"] = 1.5
         with pytest.raises(MalformedRow):
             read_segments_ndjson(json.dumps(rec) + "\n")
+
+    @staticmethod
+    def second_line_with(start, end):
+        good = {k: 1.0 for k in SEGMENT_RECORD_KEYS} | {"start_index": 0, "end_index": 5}
+        return json.dumps(good) + "\n" + json.dumps(good | {"start_index": start, "end_index": end})
+
+    def test_boolean_index_rejected(self):
+        with pytest.raises(MalformedRow, match="^line 2: start_index must be an integer"):
+            read_segments_ndjson(self.second_line_with(True, 5))
+
+    @pytest.mark.parametrize("start,end", [(7, 5), (5, 5), (-1, 5)], ids=["inverted", "empty", "negative"])
+    def test_index_range_rejected(self, start, end):
+        with pytest.raises(MalformedRow, match=rf"^line 2: .*got \[{start}, {end}\)"):
+            read_segments_ndjson(self.second_line_with(start, end))
+
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(HoldscanError):
+            read_segments_ndjson(b"\xff\n")
 
     def test_key_order_normalized_on_read(self):
         rec = {

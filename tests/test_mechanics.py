@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -12,11 +14,21 @@ from holdscan import (
     InvalidConfig,
     InvalidRange,
     MechanicsInput,
+    MockConfig,
     NonFiniteInput,
+    detect_holds,
     estimate_compliance,
     estimate_resistance,
+    generate_mock_waveform,
     integrate_volume,
+    load_waveform_csv,
+    report_hold,
+    score_series,
+    segment_record,
+    summarize_segment,
+    waveform_to_csv,
 )
+from holdscan.cli import run
 from holdscan.mechanics import (
     last_positive_flow_before,
     peak_pressure_before,
@@ -203,6 +215,36 @@ class TestPreHoldHelpers:
         pressure = np.concatenate([np.full(90, 5.0), np.full(11, 20.0)])
         w = make_waveform(np.zeros(101), pressure, rate=20.0)
         assert peep_estimate(w, 100) == pytest.approx(5.0, abs=1e-9)
+
+
+class TestReportHold:
+    def setup_method(self):
+        generated, _ = generate_mock_waveform(MockConfig(rng_seed=7))
+        self.w = load_waveform_csv(waveform_to_csv(generated))
+        seg = detect_holds(score_series(self.w))[0]
+        self.record = segment_record(summarize_segment(self.w, seg))
+
+    def test_matches_cli_report(self, tmp_path):
+        wave, segs = tmp_path / "w.csv", tmp_path / "s.ndjson"
+        wave.write_text(waveform_to_csv(self.w))
+        segs.write_text(json.dumps(self.record) + "\n")
+        for peep, flags in ((None, []), (4.5, ["--peep", "4.5"])):
+            out = io.StringIO()
+            assert run(["report", str(wave), "--segments", str(segs), *flags], stdout=out) == 0
+            assert out.getvalue() == json.dumps(report_hold(self.w, self.record, peep)) + "\n"
+
+    def test_values(self):
+        rec = report_hold(self.w, self.record)
+        assert rec["plateau_pressure_cmh2o"] == self.record["mean_pressure"]
+        assert rec["compliance_l_per_cmh2o"] == pytest.approx(
+            rec["tidal_volume_l"] / (rec["plateau_pressure_cmh2o"] - rec["peep_cmh2o"]), rel=1e-12
+        )
+        assert "unavailable" not in rec
+
+    def test_segment_outside_waveform(self):
+        record = self.record | {"end_index": len(self.w) + 1}
+        with pytest.raises(InvalidRange, match="exceeds waveform length"):
+            report_hold(self.w, record)
 
 
 class SingleCompartmentSim:

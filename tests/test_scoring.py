@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import make_waveform
 from holdscan import (
+    HoldscanError,
     InvalidRange,
+    MalformedRow,
     ModelParams,
     NonFiniteInput,
     NonPositiveVariance,
@@ -324,3 +326,12 @@ class TestTraceCsv:
         assert "-inf" in buf.getvalue()
         _, trace2 = load_score_trace_csv(buf.getvalue())
         assert trace2.log_scores[0] == -np.inf
+
+    def test_non_numeric_score_column_rejected(self):
+        text = "t,log_score,score\n0,-1,0.37\n0.01,-1,abc\n"
+        with pytest.raises(MalformedRow, match="^line 3: non-numeric field"):
+            load_score_trace_csv(text)
+
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(HoldscanError):
+            load_score_trace_csv(b"t,log_score\n0,-1\n0.01,-1\xff\n")

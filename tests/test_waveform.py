@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_waveform
 from holdscan import (
     EmptyInput,
+    HoldscanError,
     InvalidConfig,
     MalformedRow,
     NonFiniteInput,
@@ -78,6 +79,21 @@ class TestLoadCsv:
         assert w.volume is not None
         assert w.volume.tolist() == [0.0, 0.1]
 
+    def test_non_utf8_bytes_rejected(self):
+        for source in (b"t,flow,pressure\n0,1,1\n0.01,1,1\xff\n", io.BytesIO(b"\xff")):
+            with pytest.raises(HoldscanError):
+                load_waveform_csv(source)
+
+    def test_non_monotonic_names_samples(self):
+        text = "t,flow,pressure\n# c\n0,1,1\n0.01,1,1\n0.005,1,1\n"
+        with pytest.raises(NonMonotonicTime, match=r" at index 2 \(t=0\.01 then t=0\.005\)$"):
+            load_waveform_csv(text)
+
+    def test_subnormal_span_rejected(self):
+        # the rate inferred from a 5e-324 s span is infinite
+        with pytest.raises(NonUniformSampling):
+            load_waveform_csv("t,flow,pressure\n0,1,1\n5e-324,1,1\n")
+
     def test_bytes_and_stream_sources(self):
         w1 = load_waveform_csv(CSV_3ROWS.encode("utf-8"))
         w2 = load_waveform_csv(io.StringIO(CSV_3ROWS))
@@ -114,71 +130,53 @@ class TestValidate:
         validate_waveform(make_waveform([1.0], [2.0]))
 
     def test_nan_flow_rejected(self):
-        w = make_waveform([1.0, float("nan")], [2.0, 3.0])
         with pytest.raises(NonFiniteInput):
-            validate_waveform(w)
+            make_waveform([1.0, float("nan")], [2.0, 3.0])
 
     def test_inf_pressure_rejected(self):
-        w = make_waveform([1.0, 2.0], [2.0, float("inf")])
         with pytest.raises(NonFiniteInput):
-            validate_waveform(w)
+            make_waveform([1.0, 2.0], [2.0, float("inf")])
 
     def test_empty_rejected(self):
-        w = Waveform(t=np.array([]), flow=np.array([]), pressure=np.array([]), sample_rate_hz=100.0)
         with pytest.raises(EmptyInput):
-            validate_waveform(w)
+            Waveform(t=np.array([]), flow=np.array([]), pressure=np.array([]), sample_rate_hz=100.0)
 
     def test_non_monotonic_rejected(self):
-        w = Waveform(
-            t=np.array([0.0, 0.02, 0.01]),
-            flow=np.zeros(3),
-            pressure=np.zeros(3),
-            sample_rate_hz=100.0,
-        )
-        with pytest.raises(NonMonotonicTime):
-            validate_waveform(w)
+        with pytest.raises(NonMonotonicTime, match=r"at index 2 \(t=0\.02 then t=0\.01\)"):
+            Waveform(
+                t=np.array([0.0, 0.02, 0.01]),
+                flow=np.zeros(3),
+                pressure=np.zeros(3),
+                sample_rate_hz=100.0,
+            )
 
     def test_spacing_vs_declared_rate(self):
-        w = Waveform(
-            t=np.arange(5) / 100.0,
-            flow=np.zeros(5),
-            pressure=np.zeros(5),
-            sample_rate_hz=90.0,
-        )
         with pytest.raises(NonUniformSampling):
-            validate_waveform(w)
+            Waveform(
+                t=np.arange(5) / 100.0,
+                flow=np.zeros(5),
+                pressure=np.zeros(5),
+                sample_rate_hz=90.0,
+            )
 
     def test_bad_rate_rejected(self):
         w = make_waveform([1.0, 2.0], [1.0, 2.0])
-        bad = Waveform(t=w.t, flow=w.flow, pressure=w.pressure, sample_rate_hz=0.0)
         with pytest.raises(InvalidConfig):
-            validate_waveform(bad)
+            Waveform(t=w.t, flow=w.flow, pressure=w.pressure, sample_rate_hz=0.0)
 
     def test_length_mismatch_rejected(self):
-        w = Waveform(
-            t=np.arange(3) / 100.0,
-            flow=np.zeros(2),
-            pressure=np.zeros(3),
-            sample_rate_hz=100.0,
-        )
         with pytest.raises(MalformedRow):
-            validate_waveform(w)
-
-    def test_failure_is_not_remembered(self):
-        w = make_waveform([1.0, float("nan")], [2.0, 3.0])
-        for _ in range(2):
-            with pytest.raises(NonFiniteInput):
-                validate_waveform(w)
+            Waveform(
+                t=np.arange(3) / 100.0,
+                flow=np.zeros(2),
+                pressure=np.zeros(3),
+                sample_rate_hz=100.0,
+            )
 
     def test_channels_read_only(self):
         w = make_waveform([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(ValueError):
             w.flow[0] = 99.0
-
-    def test_samples_view(self):
-        w = make_waveform([1.0, 2.0], [3.0, 4.0], volume=np.array([0.0, 0.5]))
-        s = w.samples
-        assert s[1].t == 0.01 and s[1].flow == 2.0 and s[1].pressure == 4.0 and s[1].volume == 0.5
 
 
 class TestTimeGrid:
