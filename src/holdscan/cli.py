@@ -6,10 +6,11 @@ stdout and diagnostics on stderr.  Each command parses each of its inputs
 once; the stage helpers below work on parsed objects.
 
 ``pipeline`` runs the four stages with the data flow of the separate
-commands, so its output is byte-identical to piping them by hand: the
-waveform and the score trace are each serialized once and parsed once (the
-separate commands only ever see their 9-digit text), while the segment
-records stay in memory (their NDJSON round trip is exact).
+commands, so its output is byte-identical to piping them by hand.  The
+separate commands only ever see the 9-digit text of the waveform and the
+score trace; ``pipeline`` computes the values a reader gives for that text
+in numpy (``waveform._read_back``) and writes the text only to save it.  The
+segment records stay in memory (their NDJSON round trip is exact).
 
 The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
@@ -45,7 +46,13 @@ from .scoring import (
     score_series,
     write_score_trace_csv,
 )
-from .waveform import Waveform, load_waveform_csv, waveform_to_csv
+from .waveform import (
+    Waveform,
+    _read_back,
+    _read_back_waveform,
+    load_waveform_csv,
+    waveform_to_csv,
+)
 
 _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
@@ -300,22 +307,21 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
 def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
     generated, gt_text = _stage_generate(cfg)
-    # The later stages see what the separate commands would read back.
-    wave_text = waveform_to_csv(generated)
-    w = load_waveform_csv(wave_text)
-    trace_text = _trace_text(w, score_series(w, _model_from_ns(ns)))
-    _, trace = load_score_trace_csv(trace_text)
+    # The later stages see the values the separate commands read back from
+    # the 9-digit text, computed without the text; it is written only to save.
+    w = _read_back_waveform(generated)
+    scores = score_series(w, _model_from_ns(ns)).log_scores
+    trace = ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=w.sample_rate_hz)
     records = _stage_detect(trace, w, _detection_from_ns(ns))
-    seg_text = _segments_text(records)
     report_text = _stage_report(w, records, ns.peep)
     if ns.ground_truth is not None:
         _write_output(ns.ground_truth, gt_text, stdout)
     if ns.save_waveform is not None:
-        _write_output(ns.save_waveform, wave_text, stdout)
+        _write_output(ns.save_waveform, waveform_to_csv(w), stdout)
     if ns.save_trace is not None:
-        _write_output(ns.save_trace, trace_text, stdout)
+        _write_output(ns.save_trace, _trace_text(w, trace), stdout)
     if ns.save_segments is not None:
-        _write_output(ns.save_segments, seg_text, stdout)
+        _write_output(ns.save_segments, _segments_text(records), stdout)
     _write_output(ns.output, report_text, stdout)
     return 0
 

@@ -102,17 +102,18 @@ def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig())
     on = config.log_threshold_on
     off = config.log_threshold_off
 
-    raw: list[tuple[int, int]] = []
-    open_at: int | None = None
-    for i, s in enumerate(ls):
-        if open_at is None:
-            if s >= on:
-                open_at = i
-        elif s < off:
-            raw.append((open_at, i))
-            open_at = None
-    if open_at is not None:
-        raw.append((open_at, len(ls)))
+    # Raw runs from the samples that can open one (>= on) and those that
+    # close one (< off); no sample is both, since off <= on.  ``pos[j]``
+    # counts the closing samples before on-sample j, so a run opens at the
+    # first on-sample and at each one with a closing sample since the last,
+    # and closes at the next closing sample, or at the end of the trace.
+    on_idx = np.flatnonzero(ls >= on)
+    off_idx = np.flatnonzero(ls < off)
+    pos = np.searchsorted(off_idx, on_idx)
+    opens = np.ones(len(on_idx), dtype=bool)
+    opens[1:] = pos[1:] > pos[:-1]
+    closes = np.append(off_idx, len(ls))[pos[opens]]
+    raw = list(zip(on_idx[opens].tolist(), closes.tolist()))
 
     merged: list[tuple[int, int]] = []
     for seg in raw:

@@ -119,6 +119,14 @@ def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
+def _hold_mask(t: np.ndarray, holds) -> np.ndarray:
+    """Samples with ``start <= t < start + duration`` for some hold; ``t`` sorted."""
+    mask = np.zeros(len(t), dtype=bool)
+    for start, dur in holds:
+        mask[np.searchsorted(t, start, "left") : np.searchsorted(t, start + dur, "left")] = True
+    return mask
+
+
 def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform, GroundTruth]:
     """Deterministic synthetic recording plus its true hold intervals.
 
@@ -154,9 +162,7 @@ def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform,
         peep + (peak_p - peep) * np.exp(-DECAY_RATE * v),
     )
 
-    hold_mask = np.zeros(n, dtype=bool)
-    for start, dur in config.holds:
-        hold_mask |= (t >= start) & (t < start + dur)
+    hold_mask = _hold_mask(t, config.holds)
     flow = np.where(hold_mask, 0.0, flow)
     pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
 

@@ -149,12 +149,15 @@ def log_score_sample(flow: float, pressure: float, params: ModelParams = ModelPa
 def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
     df = flow - params.mu_flow
     dp = pressure - params.mu_pressure
-    lq = (
-        -0.5 * math.log(_TWO_PI * params.var_flow)
-        - df * df / (2.0 * params.var_flow)
-        - 0.5 * math.log(_TWO_PI * params.var_pressure)
-        - dp * dp / (2.0 * params.var_pressure)
-    )
+    # a squared deviation that overflows makes the log-score -inf, as in
+    # log_score_sample
+    with np.errstate(over="ignore"):
+        lq = (
+            -0.5 * math.log(_TWO_PI * params.var_flow)
+            - df * df / (2.0 * params.var_flow)
+            - 0.5 * math.log(_TWO_PI * params.var_pressure)
+            - dp * dp / (2.0 * params.var_pressure)
+        )
     np.minimum(lq, LOG_Q_MAX, out=lq)
     with np.errstate(under="ignore"):
         q = np.exp(lq)
@@ -184,15 +187,21 @@ def window_log_evidence(
         )
     df = w.flow[start_index:end_index_exclusive] - params.mu_flow
     dp = w.pressure[start_index:end_index_exclusive] - params.mu_pressure
-    per_sample = (
-        -0.5 * math.log(_TWO_PI * params.var_flow)
-        - df * df / (2.0 * params.var_flow)
-        - 0.5 * math.log(_TWO_PI * params.var_pressure)
-        - dp * dp / (2.0 * params.var_pressure)
-    )
+    with np.errstate(over="ignore"):
+        per_sample = (
+            -0.5 * math.log(_TWO_PI * params.var_flow)
+            - df * df / (2.0 * params.var_flow)
+            - 0.5 * math.log(_TWO_PI * params.var_pressure)
+            - dp * dp / (2.0 * params.var_pressure)
+        )
     # fsum over a list of floats: the same exactly rounded sum, without
     # creating a numpy scalar per element
-    return math.fsum(per_sample.tolist())
+    try:
+        return math.fsum(per_sample.tolist())
+    except OverflowError:
+        # A partial sum left float64, and it can only have gone down: each
+        # sample adds at most ln(1 / (2 pi sqrt(var_f var_p))) < 709.
+        return -math.inf
 
 
 def write_score_trace_csv(t: np.ndarray, trace: ScoreTrace, stream: IO[str], linear: bool = False) -> None:

@@ -118,6 +118,30 @@ def validate_waveform(w: Waveform) -> None:
     _check_grid(w.t, w.sample_rate_hz)
 
 
+def _infer_rate(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
+    """The rate of a timestamp grid, as :func:`check_time_grid` returns it.
+
+    The grid itself is checked only where the inferred rate is infinite,
+    which no grid passes.
+    """
+    if expected_rate_hz is not None and not 0 < expected_rate_hz < math.inf:
+        raise InvalidConfig(f"expected_rate_hz must be positive, got {expected_rate_hz}")
+    if len(t) == 0:
+        raise EmptyInput("no timestamps")
+    if expected_rate_hz is not None:
+        return float(expected_rate_hz)
+    if len(t) == 1:
+        raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
+    span = float(t[-1] - t[0])
+    # a span <= 0 fails the monotonicity check whatever the rate
+    rate = (len(t) - 1) / span if span > 0 else 1.0
+    if rate == math.inf:
+        _check_grid(t, rate)
+    if round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
+        rate = float(round(rate))
+    return rate
+
+
 def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
     """Validate a timestamp grid (strictly increasing, uniform) and return its rate.
 
@@ -128,22 +152,18 @@ def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> flo
     drift a serialized-and-reparsed grid picks up.  A single timestamp carries
     no spacing information and requires an explicit rate.
     """
-    if expected_rate_hz is not None and not 0 < expected_rate_hz < math.inf:
-        raise InvalidConfig(f"expected_rate_hz must be positive, got {expected_rate_hz}")
-    if len(t) == 0:
-        raise EmptyInput("no timestamps")
-    if expected_rate_hz is not None:
-        rate = float(expected_rate_hz)
-    elif len(t) == 1:
-        raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
-    else:
-        span = float(t[-1] - t[0])
-        # a span <= 0 fails the monotonicity check whatever the rate
-        rate = (len(t) - 1) / span if span > 0 else 1.0
-        if rate < math.inf and round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
-            rate = float(round(rate))
+    rate = _infer_rate(t, expected_rate_hz)
     _check_grid(t, rate)
     return rate
+
+
+def _build_waveform(t, flow, pressure, volume=None, expected_rate_hz=None) -> Waveform:
+    """A waveform of parsed columns, at the rate :func:`check_time_grid` gives ``t``.
+
+    Building the :class:`Waveform` checks the grid, once.
+    """
+    return Waveform(t=t, flow=flow, pressure=pressure,
+                    sample_rate_hz=_infer_rate(t, expected_rate_hz), volume=volume)
 
 
 def _source_text(source: IO | Iterable[str] | bytes | str) -> str | None:
@@ -269,19 +289,73 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
     """
     header, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
     cols = rows.T
-    rate = check_time_grid(cols[0], expected_rate_hz)
-    return Waveform(
-        t=cols[0],
-        flow=cols[1],
-        pressure=cols[2],
-        sample_rate_hz=rate,
-        volume=cols[3] if len(header) == 4 else None,
-    )
+    volume = cols[3] if len(header) == 4 else None
+    return _build_waveform(cols[0], cols[1], cols[2], volume, expected_rate_hz)
 
 
 def format_value(v: float) -> str:
     """Serialize one value with the package-wide CSV precision."""
     return format(float(v), f".{CSV_DIGITS}g")
+
+
+# For k = -22..22 at index k + 22: 10**k as a factor (1 for k < 0) and 10**-k
+# as a divisor (1 for k >= 0).  Each power is exact in float64 (5**22 < 2**53).
+_UP = np.array([float(10**k) if k >= 0 else 1.0 for k in range(-22, 23)])
+_DOWN = np.array([float(10**-k) if k < 0 else 1.0 for k in range(-22, 23)])
+
+# Values read back per block; a block's temporaries stay in cache.
+_READ_BACK_CHUNK = 65536
+
+
+def _read_back(values) -> np.ndarray:
+    """``float(format_value(v))`` for each value, bit for bit, without the text.
+
+    These are the values a reader gives for the writer's ``%.9g`` text.  For
+    finite non-zero ``x`` with ``e = floor(log10|x|)`` and ``k = 8 - e`` in
+    ``[-22, 22]``, ``10**|k|`` is exact, so ``y = |x| * 10**k`` (or
+    ``|x| / 10**-k``) is one correctly rounded operation: ``|y - exact| <=
+    0.5 ulp(y) < 6e-8`` for ``y`` below about ``1e9``.  Where ``m = rint(y)``
+    lies in ``[1e8, 1e9]`` and ``frac(y)`` is more than ``1e-6`` from 0.5,
+    ``m`` is the correctly rounded 9-digit mantissa (``m`` outside that range
+    means ``log10`` put ``x`` in the wrong decade).  ``m / 10**k`` (or
+    ``m * 10**-k``) is again one correctly rounded operation on exact
+    operands, so it is the float nearest the decimal ``m * 10**-k``, which
+    is what ``float()`` gives for the text.  Every other finite non-zero value
+    (``k`` out of range, ``m`` out of range, or a near-tie) goes through the
+    text itself; zeros (with their sign) and infinities pass through.
+    """
+    x = np.array(values, dtype=np.float64)
+    for start in range(0, len(x), _READ_BACK_CHUNK):
+        block = x[start : start + _READ_BACK_CHUNK]
+        block[:] = _read_back_block(block)
+    return x
+
+
+def _read_back_block(x: np.ndarray) -> np.ndarray:
+    a = np.abs(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))  # -inf for 0, inf for inf
+        ok = np.abs(e - 8.0) <= 22.0
+        e[~ok] = 8.0
+        i = (30.0 - e).astype(np.intp)  # k + 22
+        up, down = _UP[i], _DOWN[i]
+        # one of up and down is 1, so each line is one rounding
+        y = a * up / down
+        m = np.rint(y)
+        # |y - m| is 0.5 less the distance of frac(y) from 0.5
+        ok &= (m >= 1e8) & (m <= 1e9) & (np.abs(y - m) < 0.5 - 1e-6)
+        r = m * down / up
+    np.copysign(r, x, out=r)
+    for j in np.flatnonzero(~ok).tolist():
+        v = float(x[j])
+        r[j] = float(format_value(v)) if math.isfinite(v) and v != 0 else v
+    return r
+
+
+def _read_back_waveform(w: Waveform) -> Waveform:
+    """The waveform :func:`load_waveform_csv` gives for ``waveform_to_csv(w)``, without the text."""
+    volume = None if w.volume is None else _read_back(w.volume)
+    return _build_waveform(_read_back(w.t), _read_back(w.flow), _read_back(w.pressure), volume)
 
 
 def _write_rows(stream: IO[str], header: tuple[str, ...], columns) -> None:

@@ -1,6 +1,7 @@
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,6 +411,42 @@ class TestPipeline:
         assert wave2.read_text() == wave_text
         assert trace2.read_text() == trace_text
         assert segs2.read_text() == seg_text
+
+    def save_all(self, tmp_path, argv):
+        """Run pipeline with every --save-* flag; (stdout, wave, trace, segments)."""
+        paths = [tmp_path / n for n in ("pw.csv", "pt.csv", "ps.ndjson")]
+        code, piped, err = run_cli([
+            "pipeline", *argv,
+            "--save-waveform", str(paths[0]),
+            "--save-trace", str(paths[1]),
+            "--save-segments", str(paths[2]),
+        ])
+        assert (code, err) == (0, "")
+        return (piped, *(p.read_text() for p in paths))
+
+    def test_minus_inf_trace_matches_stages(self, tmp_path):
+        # with this variance most squared flow deviations overflow
+        gen, model = ["--seed", "7"], ["--var-flow", "1e-306"]
+        manual = self.manual_composition(tmp_path, gen_args=gen, score_args=model)
+        assert ",-inf\n" in manual[2]
+        assert self.save_all(tmp_path, [*gen, *model]) == manual
+
+    def test_250_hz_matches_stages(self, tmp_path):
+        gen = ["--seed", "3", "--duration-s", "120", "--sample-rate-hz", "250", "--hold", "60:2"]
+        manual = self.manual_composition(tmp_path, gen_args=gen)
+        assert '"start_s": 60.0' in manual[0]
+        assert self.save_all(tmp_path, gen) == manual
+
+    def test_no_csv_text_unless_saved(self):
+        # the read-back values are computed; no CSV is written or parsed
+        fail = mock.Mock(side_effect=AssertionError("CSV text in pipeline"))
+        with mock.patch("holdscan.waveform._write_rows", fail), \
+                mock.patch("holdscan.waveform._read_table", fail), \
+                mock.patch("holdscan.scoring._write_rows", fail), \
+                mock.patch("holdscan.scoring._read_table", fail):
+            code, out, err = run_cli(["pipeline", "--seed", "7", "--save-segments", "-"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 2
 
     def test_report_record_shape(self):
         code, out, _ = run_cli(["pipeline", "--seed", "7"])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -37,6 +38,109 @@ def flat_trace(n, level=-50.0, runs=(), run_level=-2.0, rate=RATE):
     for a, b in runs:
         scores[a:b] = run_level
     return trace_of(scores, rate)
+
+
+def detect_holds_loop(trace, config=DetectionConfig()):
+    """The per-sample state machine detect_holds replaced; the test oracle."""
+    ls = trace.log_scores
+    rate = trace.sample_rate_hz
+    on = config.log_threshold_on
+    off = config.log_threshold_off
+
+    raw = []
+    open_at = None
+    for i, s in enumerate(ls):
+        if open_at is None:
+            if s >= on:
+                open_at = i
+        elif s < off:
+            raw.append((open_at, i))
+            open_at = None
+    if open_at is not None:
+        raw.append((open_at, len(ls)))
+
+    merged = []
+    for seg in raw:
+        if merged and (seg[0] - merged[-1][1]) / rate < config.merge_gap_s:
+            merged[-1] = (merged[-1][0], seg[1])
+        else:
+            merged.append(seg)
+
+    out = []
+    for a, b in merged:
+        if (b - a) / rate < config.min_duration_s:
+            continue
+        window = ls[a:b]
+        peak = float(np.max(window))
+        out.append(
+            HoldSegment(
+                start_index=a,
+                end_index=b,
+                start_s=a / rate,
+                end_s=b / rate,
+                peak_log_score=peak,
+                mean_log_score=min(float(np.mean(window)), peak),
+            )
+        )
+    return out
+
+
+def _as_rows(segments):
+    """Segments as tuples; NaN (a mean over +huge and -inf) compares by repr."""
+    return [tuple(repr(v) if isinstance(v, float) else v for v in dataclasses.astuple(s))
+            for s in segments]
+
+
+_MAX = np.finfo(np.float64).max
+
+
+@st.composite
+def _detection_cases(draw):
+    """Any valid ScoreTrace and DetectionConfig, its values often at a threshold."""
+    if draw(st.booleans()):
+        on, off = -10.0, -14.0
+    else:
+        on, off = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2)),
+                         reverse=True)
+    cfg = DetectionConfig(
+        log_threshold_on=on,
+        log_threshold_off=off,
+        min_duration_s=draw(st.sampled_from([0.0, 0.03, 0.3]) | st.floats(0, 1e300)),
+        merge_gap_s=draw(st.sampled_from([0.0, 0.05, 0.1]) | st.floats(0, 1e300)),
+    )
+    with np.errstate(over="ignore"):
+        near = [on, off, np.nextafter(on, -np.inf), np.nextafter(off, -np.inf),
+                np.nextafter(on, np.inf), (on + off) / 2, on + 1.0, off - 1.0, -np.inf, _MAX]
+    near = [float(v) for v in near if not (math.isnan(v) or v == np.inf)]
+    value = st.sampled_from(near) | st.floats(allow_nan=False, max_value=_MAX)
+    scores = draw(st.lists(value, max_size=300))
+    rate = draw(st.sampled_from([1.0, 100.0, 250.0])
+                | st.floats(min_value=0.0, exclude_min=True, max_value=_MAX))
+    return trace_of(scores, rate), cfg
+
+
+class TestAgainstLoop:
+    """detect_holds against the per-sample loop, over any trace and config."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_detection_cases())
+    def test_matches_loop(self, case):
+        trace, cfg = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            segs = detect_holds(trace, cfg)
+            assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
+        for seg in segs:
+            assert (seg.end_index - seg.start_index) / trace.sample_rate_hz >= cfg.min_duration_s
+        for prev, nxt in zip(segs, segs[1:]):
+            assert prev.end_index < nxt.start_index
+
+    def test_dense_random_traces(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            scores = rng.uniform(-20, 0, 2000)
+            scores[rng.random(2000) < 0.05] = -np.inf
+            trace = trace_of(scores)
+            assert _as_rows(detect_holds(trace)) == _as_rows(detect_holds_loop(trace))
 
 
 class TestConfig:

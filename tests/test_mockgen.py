@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from holdscan import (
     integrate_volume,
     score_series,
 )
-from holdscan.mockgen import _splitmix64, _standard_normals
+from holdscan.mockgen import _hold_mask, _splitmix64, _standard_normals
 
 MASK64 = (1 << 64) - 1
 
@@ -140,6 +141,42 @@ class TestShape:
         cfg = MockConfig(holds=((10.0, 1.0), (45.0, 2.0)), rng_seed=0)
         _, truth = generate_mock_waveform(cfg)
         assert truth.hold_segments == ((10.0, 11.0), (45.0, 47.0))
+
+
+def per_hold_mask(t, holds):
+    """One comparison pass per hold: the mask's definition."""
+    mask = np.zeros(len(t), dtype=bool)
+    for start, dur in holds:
+        mask |= (t >= start) & (t < start + dur)
+    return mask
+
+
+# hold edges on a sample, between samples, and one hold ending where the next
+# begins; at 3 Hz and 7.3 Hz the grid times are not exact decimals
+HOLD_SETS = [
+    ((10.0, 1.0),),
+    ((10.005, 0.993), (20.0049, 0.0002)),
+    ((10.0, 1.0), (11.0, 0.5), (11.5, 2.25)),
+    ((0.0, 0.01), (0.01, 0.3), (29.0, 1.0)),
+    ((1.0 / 3.0, 2.0 / 3.0), (1.0, 1.0 / 7.3), (1.0 + 1.0 / 7.3, 5.0)),
+]
+
+
+class TestHoldMask:
+    @pytest.mark.parametrize("rate", [100.0, 250.0, 3.0, 7.3])
+    @pytest.mark.parametrize("holds", HOLD_SETS)
+    def test_matches_per_hold_comparison(self, rate, holds):
+        t = np.arange(int(round(30.0 * rate)), dtype=np.float64) / rate
+        assert np.array_equal(_hold_mask(t, holds), per_hold_mask(t, holds))
+
+    @pytest.mark.parametrize("holds", HOLD_SETS)
+    def test_generated_waveform_unchanged(self, holds):
+        cfg = MockConfig(duration_s=30.0, holds=holds, rng_seed=4)
+        w, _ = generate_mock_waveform(cfg)
+        with mock.patch("holdscan.mockgen._hold_mask", per_hold_mask):
+            ref, _ = generate_mock_waveform(cfg)
+        for name in ("t", "flow", "pressure", "volume"):
+            assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestTemplate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,36 @@ class TestScoreSeries:
             ScoreTrace(log_scores=np.array([0.0, np.inf]), sample_rate_hz=100.0)
         trace = ScoreTrace(log_scores=np.array([0.0, -np.inf]), sample_rate_hz=100.0)
         assert trace.log_scores[1] == -np.inf
+
+
+class TestSquareOverflow:
+    """A squared deviation that overflows gives -inf, with no warning."""
+
+    PARAMS = ModelParams(var_flow=1e-306)
+
+    def test_score_series(self):
+        w = make_waveform([0.0, 1e-150, 60.0], [15.0, 15.0, 15.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = score_series(w, self.PARAMS)
+        assert trace.log_scores[2] == -np.inf
+        assert np.isfinite(trace.log_scores[:2]).all()
+        assert trace.log_scores[2] == log_score_sample(60.0, 15.0, self.PARAMS)
+
+    def test_window_log_evidence(self):
+        w = make_waveform([0.0, 60.0], [15.0, 15.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert window_log_evidence(w, 0, 2, self.PARAMS) == -np.inf
+
+    def test_window_sum_leaving_float64(self):
+        # each term is finite, their sum is not
+        w = make_waveform([13.0, 13.0, 13.0], [15.0, 15.0, 15.0])
+        terms = [log_gaussian_pdf(13.0, 0.0, 1e-306) + log_gaussian_pdf(15.0, 15.0, 1.0)] * 3
+        assert all(math.isfinite(v) for v in terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert window_log_evidence(w, 0, 3, self.PARAMS) == -np.inf
 
 
 class TestWindowLogEvidence:

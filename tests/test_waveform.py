@@ -12,18 +12,21 @@ from holdscan import (
     HoldscanError,
     InvalidConfig,
     MalformedRow,
+    MockConfig,
     NonFiniteInput,
     NonMonotonicTime,
     NonUniformSampling,
     ScoreTrace,
     Waveform,
+    generate_mock_waveform,
     load_score_trace_csv,
     load_waveform_csv,
+    score_series,
     validate_waveform,
     waveform_to_csv,
     write_score_trace_csv,
 )
-from holdscan.waveform import check_time_grid, format_value
+from holdscan.waveform import _check_grid, _read_back, check_time_grid, format_value
 
 CSV_3ROWS = "t,flow,pressure\n0.00,10.0,5.0\n0.01,20.0,6.0\n0.02,30.0,7.0\n"
 
@@ -93,6 +96,11 @@ class TestLoadCsv:
         # the rate inferred from a 5e-324 s span is infinite
         with pytest.raises(NonUniformSampling):
             load_waveform_csv("t,flow,pressure\n0,1,1\n5e-324,1,1\n")
+
+    def test_grid_checked_once(self):
+        with mock.patch("holdscan.waveform._check_grid", wraps=_check_grid) as check:
+            load_waveform_csv(CSV_3ROWS)
+        assert check.call_count == 1
 
     def test_bytes_and_stream_sources(self):
         w1 = load_waveform_csv(CSV_3ROWS.encode("utf-8"))
@@ -367,3 +375,65 @@ class TestFastReader:
             assert load_waveform_csv(waveform_to_csv(w)).flow.tolist() == [1.0, -2.5e-7, 3.0]
             for text in texts:
                 assert load_score_trace_csv(text)[1].log_scores.tolist() == [-1.0, -800.0, 27.5]
+
+
+def _text_round_trip(values):
+    """What a reader gives for the writer's text: float(format_value(v)) each."""
+    return np.array([float(format_value(v)) for v in values], dtype=np.float64)
+
+
+@st.composite
+def _near_ties(draw):
+    """Values at, or one ulp from, a 9-digit rounding tie or a power of ten."""
+    exponent = draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        mantissa = draw(st.integers(10**8, 10**9 - 1))
+        v = float(f"{mantissa}5e{exponent - 9}")
+    else:
+        v = 10.0**exponent
+    v = draw(st.sampled_from([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]))
+    return float(v) if draw(st.booleans()) else -float(v)
+
+
+class TestReadBack:
+    """_read_back against the text round trip it stands in for."""
+
+    # NaN is left out: its bits need not survive float("nan"), and neither a
+    # waveform nor a score trace holds one
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.floats(allow_nan=False)
+        | st.sampled_from([-0.0, 5e-324, -1.5e-310, 1e300, -1e300, np.inf, -np.inf])
+        | _near_ties(),
+        min_size=1, max_size=60,
+    ))
+    def test_matches_text_round_trip(self, values):
+        assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
+
+    def test_recording_columns(self):
+        w, _ = generate_mock_waveform(MockConfig(duration_s=60.0, rng_seed=3))
+        log_scores = score_series(w).log_scores
+        for values in (w.t, w.flow, w.pressure, w.volume, log_scores):
+            assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
+
+    def test_is_what_the_reader_gives(self):
+        cfg = MockConfig(duration_s=20.0, sample_rate_hz=250.0, holds=((8.0, 2.0),), rng_seed=5)
+        w, _ = generate_mock_waveform(cfg)
+        loaded = load_waveform_csv(waveform_to_csv(w))
+        for name in ("t", "flow", "pressure", "volume"):
+            assert _read_back(getattr(w, name)).tobytes() == getattr(loaded, name).tobytes()
+
+    @pytest.mark.parametrize("decades", [-1.0, 1.0])
+    def test_wrong_decade_estimate_stays_exact(self, decades):
+        # a log10 that puts values in the wrong decade must cost speed only
+        values = np.array([0.1234567891, 98765.43215, -7.0000000049, 1.0, 999999999.7])
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda a: log10(a) + decades):
+            got = _read_back(values)
+        assert got.tobytes() == _text_round_trip(values).tobytes()
+
+    def test_input_left_alone(self):
+        values = np.array([0.1234567891, -0.0, np.inf])
+        before = values.tobytes()
+        _read_back(values)
+        assert values.tobytes() == before
