@@ -9,8 +9,11 @@ once; the stage helpers below work on parsed objects.
 commands, so its output is byte-identical to piping them by hand.  The
 separate commands only ever see the 9-digit text of the waveform and the
 score trace; ``pipeline`` computes the values a reader gives for that text
-in numpy (``waveform._read_back``) and writes the text only to save it.  The
-segment records stay in memory (their NDJSON round trip is exact).
+in numpy (``waveform._read_back``) and writes the text only to save it.  It
+takes the generator's blocks one at a time and reads back, scores and reads
+back the log-scores of each while it is in cache, so the generated recording
+is never built whole.  The segment records stay in memory (their NDJSON
+round trip is exact).
 
 The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
@@ -28,6 +31,8 @@ import json
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .detection import (
     DetectionConfig,
     detect_holds,
@@ -38,18 +43,26 @@ from .detection import (
 )
 from .errors import HoldscanError, InvalidConfig, MalformedRow
 from .mechanics import report_hold
-from .mockgen import MockConfig, generate_mock_waveform
+from .mockgen import (
+    _BLOCK,
+    MockConfig,
+    _blocks,
+    _ground_truth,
+    _sample_count,
+    generate_mock_waveform,
+)
 from .scoring import (
     ModelParams,
     ScoreTrace,
+    _log_scores_array,
     load_score_trace_csv,
     score_series,
     write_score_trace_csv,
 )
 from .waveform import (
     Waveform,
+    _build_waveform,
     _read_back,
-    _read_back_waveform,
     load_waveform_csv,
     waveform_to_csv,
 )
@@ -65,12 +78,40 @@ class _UsageError(Exception):
 # pipeline stages: parsed objects in, parsed objects out
 
 
-def _stage_generate(cfg: MockConfig) -> tuple[Waveform, str]:
-    w, truth = generate_mock_waveform(cfg)
-    gt_text = "".join(
-        json.dumps({"start_s": s, "end_s": e}) + "\n" for s, e in truth.hold_segments
+def _ground_truth_text(cfg: MockConfig) -> str:
+    return "".join(
+        json.dumps({"start_s": s, "end_s": e}) + "\n"
+        for s, e in _ground_truth(cfg).hold_segments
     )
-    return w, gt_text
+
+
+def _stage_read_back(cfg: MockConfig, params: ModelParams) -> tuple[Waveform, ScoreTrace]:
+    """What ``score`` and ``detect`` read from ``generate``'s and ``score``'s text, without it.
+
+    Each block of the recording is generated, read back (the values a
+    reader gives for the 9-digit text), scored and its log-scores read
+    back while it is in cache, so the generated recording is never built.
+    """
+    n = _sample_count(cfg)
+    # Longer recordings are read back into columns, so that each block's
+    # temporaries are freed and reused while in cache; one block's arrays
+    # serve as they are.
+    columns = np.empty((5, n)) if n > _BLOCK else None  # t, flow, pressure, volume, log_score
+    for start, *block in _blocks(cfg, n):
+        out = [None] * 5 if columns is None else columns[:, start : start + len(block[0])]
+        read = [_read_back(values, out=row) for values, row in zip(block, out)]
+        # a value that is not finite stops the run below, before it is scored
+        with np.errstate(invalid="ignore"):
+            read.append(_read_back(_log_scores_array(read[1], read[2], params), out=out[4]))
+    t, flow, pressure, volume, log_scores = read if columns is None else columns
+    try:
+        w = _build_waveform(t, flow, pressure, volume)
+    except HoldscanError:
+        # ``generate`` checks the recording itself first; a value that is
+        # not finite stays so when read back, so only the order can differ
+        generate_mock_waveform(cfg)
+        raise
+    return w, ScoreTrace(log_scores=log_scores, sample_rate_hz=w.sample_rate_hz)
 
 
 def _trace_text(w: Waveform, trace: ScoreTrace, linear: bool = False) -> str:
@@ -266,10 +307,10 @@ def _write_output(path: str | None, text: str, stdout) -> None:
 
 def _cmd_generate(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    w, gt_text = _stage_generate(cfg)
+    w, _ = generate_mock_waveform(cfg)
     wave_text = waveform_to_csv(w)
     if ns.ground_truth is not None:
-        _write_output(ns.ground_truth, gt_text, stdout)
+        _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
     _write_output(ns.output, wave_text, stdout)
     return 0
 
@@ -306,16 +347,12 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
 
 def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    generated, gt_text = _stage_generate(cfg)
-    # The later stages see the values the separate commands read back from
-    # the 9-digit text, computed without the text; it is written only to save.
-    w = _read_back_waveform(generated)
-    scores = score_series(w, _model_from_ns(ns)).log_scores
-    trace = ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=w.sample_rate_hz)
+    # The text is written only to save it.
+    w, trace = _stage_read_back(cfg, _model_from_ns(ns))
     records = _stage_detect(trace, w, _detection_from_ns(ns))
     report_text = _stage_report(w, records, ns.peep)
     if ns.ground_truth is not None:
-        _write_output(ns.ground_truth, gt_text, stdout)
+        _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
     if ns.save_waveform is not None:
         _write_output(ns.save_waveform, waveform_to_csv(w), stdout)
     if ns.save_trace is not None:

@@ -136,10 +136,23 @@ def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig())
                 end_s=b / rate,
                 peak_log_score=peak,
                 # the mean of n equal values can round one ulp above them
-                mean_log_score=min(float(np.mean(window)), peak),
+                mean_log_score=min(_window_mean(window), peak),
             )
         )
     return out
+
+
+def _window_mean(window: np.ndarray) -> float:
+    """``np.mean(window)``, or where that is not finite, the mean of the
+    values scaled down: the finite mean where their sum left float64, and
+    -inf where the window holds -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(window))
+    if math.isfinite(mean):
+        return mean
+    # a power of two above the length keeps every partial sum of finite values in range
+    scale = 2.0 ** len(window).bit_length()
+    return float(np.mean(window / scale)) * scale
 
 
 def summarize_segment(w: Waveform, seg: HoldSegment) -> HoldSummary:
@@ -187,7 +200,9 @@ def read_segments_ndjson(source) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # a ValueError also for an integer of more than 4300 digits, and a
+        # RecursionError for nesting deeper than the interpreter's stack
+        except (ValueError, RecursionError) as exc:
             raise MalformedRow(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or set(obj) != set(SEGMENT_RECORD_KEYS):
             raise MalformedRow(

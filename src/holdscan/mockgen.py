@@ -14,6 +14,13 @@ platform: SplitMix64 in counter mode supplies 64-bit words, and Gaussians
 come from the Box-Muller transform (cosine branch only, one variate per pair
 of words).  Flow-noise sample i consumes counters (2i, 2i+1); pressure-noise
 sample i consumes counters (2n+2i, 2n+2i+1) for an n-sample waveform.
+
+The recording can be computed in blocks (``_blocks``; ``pipeline`` takes
+blocks of ``_BLOCK`` samples, whose temporaries stay in cache): every sample
+goes through the same operations as over the whole recording, each block
+draws its noise from its own samples' counters in the layout above, and the
+volume's running sum is carried across blocks, so the bytes do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Samples computed per block; a block's temporaries stay in cache.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -101,11 +111,15 @@ class GroundTruth:
 
 def _splitmix64(seed: int, first_counter: int, count: int) -> np.ndarray:
     """SplitMix64 outputs for counters [first_counter, first_counter+count)."""
-    idx = np.arange(first_counter + 1, first_counter + count + 1, dtype=np.uint64)
-    x = np.uint64(seed & _MASK64) + idx * _GAMMA  # wraps mod 2**64
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    x = np.arange(first_counter + 1, first_counter + count + 1, dtype=np.uint64)
+    x *= _GAMMA
+    x += np.uint64(seed & _MASK64)  # wraps mod 2**64
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
@@ -113,18 +127,104 @@ def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
 
     u1 is mapped into (0, 1] so the log never sees zero; u2 into [0, 1).
     """
-    words = _splitmix64(seed, first_counter, 2 * count)
-    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    words = _splitmix64(seed, first_counter, 2 * count) >> np.uint64(11)
+    u1 = words[0::2].astype(np.float64)
+    u1 += 1.0
+    u1 *= 2.0**-53
+    u2 = words[1::2].astype(np.float64)
+    u2 *= 2.0**-53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * math.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _hold_mask(t: np.ndarray, holds) -> np.ndarray:
     """Samples with ``start <= t < start + duration`` for some hold; ``t`` sorted."""
     mask = np.zeros(len(t), dtype=bool)
-    for start, dur in holds:
-        mask[np.searchsorted(t, start, "left") : np.searchsorted(t, start + dur, "left")] = True
+    if holds:
+        lo = np.searchsorted(t, [start for start, _ in holds], "left")
+        hi = np.searchsorted(t, [start + dur for start, dur in holds], "left")
+        # a block of a long recording meets few of its holds
+        meets = lo < hi
+        for a, b in zip(lo[meets].tolist(), hi[meets].tolist()):
+            mask[a:b] = True
     return mask
+
+
+def _sample_count(config: MockConfig) -> int:
+    n = int(round(config.duration_s * config.sample_rate_hz))
+    if n < 1:
+        raise InvalidConfig(
+            f"duration {config.duration_s} s at {config.sample_rate_hz} Hz yields no samples"
+        )
+    return n
+
+
+def _ground_truth(config: MockConfig) -> GroundTruth:
+    return GroundTruth(hold_segments=tuple(sorted((s, s + d) for s, d in config.holds)))
+
+
+def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
+    """``(start, t, flow, pressure, volume)`` for samples ``[start, start + len(t))``.
+
+    Consecutive blocks of at most ``size`` samples cover the ``n``-sample
+    recording.  Each sample is computed by the same operations as over the
+    whole recording, and the volume's running sum is carried from one block
+    to the next, so the blocks hold the whole-recording values bit for bit.
+    """
+    rate = config.sample_rate_hz
+    period = 60.0 / config.respiratory_rate_bpm
+    t_insp = period * config.i_to_e_ratio / (1.0 + config.i_to_e_ratio)
+    t_exp = period - t_insp
+    peep = config.peep_cmh2o
+    peak_p = config.peak_pressure_cmh2o
+    last = None  # (t, flow in L/s, volume) of the previous block's last sample
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        t = np.arange(start, start + m, dtype=np.float64) / rate
+
+        phase = np.mod(t, period)
+        insp = phase < t_insp
+        u = phase / t_insp  # inspiratory phase fraction, valid where insp
+        v = (phase - t_insp) / t_exp  # expiratory phase fraction, valid elsewhere
+        decay = np.exp(-DECAY_RATE * np.where(insp, u, v))  # of the sample's own phase
+        flow = np.where(
+            insp,
+            config.peak_flow_lpm * decay,
+            -config.peak_flow_lpm * config.i_to_e_ratio * decay,
+        )
+        pressure = np.where(
+            insp,
+            peep + (peak_p - peep) * u,
+            peep + (peak_p - peep) * decay,
+        )
+
+        hold_mask = _hold_mask(t, config.holds)
+        flow = np.where(hold_mask, 0.0, flow)
+        pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
+
+        flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 2 * start, m)
+        pressure = pressure + config.noise_sd_pressure * _standard_normals(
+            config.rng_seed, 2 * n + 2 * start, m
+        )
+
+        # trapezoid steps into each sample; the first sample of the recording has none
+        flow_lps = flow / 60.0
+        volume = np.empty(m)
+        volume[1:] = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
+        if last is None:
+            volume[0] = 0.0
+            np.cumsum(volume[1:], out=volume[1:])
+        else:
+            last_t, last_flow_lps, last_volume = last
+            volume[0] = last_volume + (t[0] - last_t) * 0.5 * (flow_lps[0] + last_flow_lps)
+            np.cumsum(volume, out=volume)
+        last = (t[-1], flow_lps[-1], volume[-1])
+        yield start, t, flow, pressure, volume
 
 
 def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform, GroundTruth]:
@@ -133,51 +233,14 @@ def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform,
     The volume channel is the cumulative trapezoidal integral of flow
     (L/min converted to L/s), starting at zero.
     """
-    n = int(round(config.duration_s * config.sample_rate_hz))
-    if n < 1:
-        raise InvalidConfig(
-            f"duration {config.duration_s} s at {config.sample_rate_hz} Hz yields no samples"
-        )
-    rate = config.sample_rate_hz
-    t = np.arange(n, dtype=np.float64) / rate
-
-    period = 60.0 / config.respiratory_rate_bpm
-    t_insp = period * config.i_to_e_ratio / (1.0 + config.i_to_e_ratio)
-    t_exp = period - t_insp
-    phase = np.mod(t, period)
-    insp = phase < t_insp
-    u = phase / t_insp  # inspiratory phase fraction, valid where insp
-    v = (phase - t_insp) / t_exp  # expiratory phase fraction, valid elsewhere
-
-    peep = config.peep_cmh2o
-    peak_p = config.peak_pressure_cmh2o
-    flow = np.where(
-        insp,
-        config.peak_flow_lpm * np.exp(-DECAY_RATE * u),
-        -config.peak_flow_lpm * config.i_to_e_ratio * np.exp(-DECAY_RATE * v),
-    )
-    pressure = np.where(
-        insp,
-        peep + (peak_p - peep) * u,
-        peep + (peak_p - peep) * np.exp(-DECAY_RATE * v),
-    )
-
-    hold_mask = _hold_mask(t, config.holds)
-    flow = np.where(hold_mask, 0.0, flow)
-    pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
-
-    flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 0, n)
-    pressure = pressure + config.noise_sd_pressure * _standard_normals(config.rng_seed, 2 * n, n)
-
-    flow_lps = flow / 60.0
-    volume = np.empty(n, dtype=np.float64)
-    volume[0] = 0.0
-    if n > 1:
-        steps = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
-        np.cumsum(steps, out=volume[1:])
-
-    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=rate, volume=volume)
-    truth = GroundTruth(
-        hold_segments=tuple(sorted((s, s + d) for s, d in config.holds))
-    )
-    return w, truth
+    n = _sample_count(config)
+    # The whole recording is returned, so it is one block here; cache-sized
+    # blocks pay off where each is consumed while in cache (``pipeline``).
+    # The generator, and with it the block's temporaries, stays alive until
+    # the waveform has copied the block, so that the waveform's arrays are
+    # placed, and the heap is left, as by a single pass over the recording.
+    blocks = _blocks(config, n, n)
+    _, t, flow, pressure, volume = next(blocks)
+    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=config.sample_rate_hz,
+                 volume=volume)
+    return w, _ground_truth(config)

@@ -303,11 +303,8 @@ def format_value(v: float) -> str:
 _UP = np.array([float(10**k) if k >= 0 else 1.0 for k in range(-22, 23)])
 _DOWN = np.array([float(10**-k) if k < 0 else 1.0 for k in range(-22, 23)])
 
-# Values read back per block; a block's temporaries stay in cache.
-_READ_BACK_CHUNK = 65536
 
-
-def _read_back(values) -> np.ndarray:
+def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
     """``float(format_value(v))`` for each value, bit for bit, without the text.
 
     These are the values a reader gives for the writer's ``%.9g`` text.  For
@@ -322,16 +319,12 @@ def _read_back(values) -> np.ndarray:
     operands, so it is the float nearest the decimal ``m * 10**-k``, which
     is what ``float()`` gives for the text.  Every other finite non-zero value
     (``k`` out of range, ``m`` out of range, or a near-tie) goes through the
-    text itself; zeros (with their sign) and infinities pass through.
+    text itself, in one batch; zeros (with their sign) and infinities pass
+    through.  The result goes to ``out`` if given (not ``values`` itself).
+    The temporaries are as long as ``values``, so long arrays are best read
+    back in blocks that stay in cache.
     """
-    x = np.array(values, dtype=np.float64)
-    for start in range(0, len(x), _READ_BACK_CHUNK):
-        block = x[start : start + _READ_BACK_CHUNK]
-        block[:] = _read_back_block(block)
-    return x
-
-
-def _read_back_block(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))  # -inf for 0, inf for inf
@@ -344,18 +337,16 @@ def _read_back_block(x: np.ndarray) -> np.ndarray:
         m = np.rint(y)
         # |y - m| is 0.5 less the distance of frac(y) from 0.5
         ok &= (m >= 1e8) & (m <= 1e9) & (np.abs(y - m) < 0.5 - 1e-6)
-        r = m * down / up
+        r = np.divide(m * down, up, out=out)
     np.copysign(r, x, out=r)
-    for j in np.flatnonzero(~ok).tolist():
-        v = float(x[j])
-        r[j] = float(format_value(v)) if math.isfinite(v) and v != 0 else v
+    if not ok.all():
+        j = np.flatnonzero(~ok)
+        r[j] = x[j]
+        j = j[np.isfinite(r[j]) & (r[j] != 0.0)]
+        if len(j):
+            text = (f"%.{CSV_DIGITS}g\n" * len(j)) % tuple(x[j].tolist())
+            r[j] = [float(v) for v in text.split()]
     return r
-
-
-def _read_back_waveform(w: Waveform) -> Waveform:
-    """The waveform :func:`load_waveform_csv` gives for ``waveform_to_csv(w)``, without the text."""
-    volume = None if w.volume is None else _read_back(w.volume)
-    return _build_waveform(_read_back(w.t), _read_back(w.flow), _read_back(w.pressure), volume)
 
 
 def _write_rows(stream: IO[str], header: tuple[str, ...], columns) -> None:

@@ -8,15 +8,22 @@ import pytest
 
 from holdscan import (
     DetectionConfig,
+    HoldscanError,
+    MockConfig,
+    ModelParams,
+    ScoreTrace,
     detect_holds,
+    generate_mock_waveform,
     load_score_trace_csv,
     load_waveform_csv,
     score_series,
     segment_record,
     summarize_segment,
 )
-from holdscan.cli import run
+from holdscan.cli import _stage_read_back, run
 from holdscan.mechanics import HEURISTICS_NOTE
+from holdscan.mockgen import _BLOCK
+from holdscan.waveform import _build_waveform, _read_back
 
 
 def run_cli(argv, stdin_text=""):
@@ -448,6 +455,17 @@ class TestPipeline:
         assert (code, err) == (0, "")
         assert out.count("\n") == 2
 
+    def test_block_edges_at_250_hz_match_stages(self, tmp_path):
+        # a sample count that is no block multiple, and holds across two block edges
+        n = 2 * _BLOCK + 1234
+        edges = [_BLOCK / 250.0, 2 * _BLOCK / 250.0]
+        gen = ["--seed", "11", "--duration-s", repr(n / 250.0), "--sample-rate-hz", "250",
+               "--hold", f"{edges[0] - 1.0!r}:2", "--hold", f"{edges[1] - 0.5!r}:1.5"]
+        manual = self.manual_composition(tmp_path, gen_args=gen)
+        starts = [json.loads(line)["start_index"] for line in manual[0].splitlines()]
+        assert {_BLOCK - 250, 2 * _BLOCK - 125} <= set(starts)
+        assert self.save_all(tmp_path, gen) == manual
+
     def test_report_record_shape(self):
         code, out, _ = run_cli(["pipeline", "--seed", "7"])
         assert code == 0
@@ -464,6 +482,71 @@ class TestPipeline:
         code, _, _ = run_cli(["pipeline", "--seed", "7", "--ground-truth", str(gt)])
         assert code == 0
         assert json.loads(gt.read_text().splitlines()[0]) == {"start_s": 45.0, "end_s": 47.0}
+
+
+def read_back_stages(cfg, params):
+    """The waveform and trace ``score`` and ``detect`` read back: the whole
+    recording generated, then each column and the log-scores read back."""
+    w, _ = generate_mock_waveform(cfg)
+    read = _build_waveform(_read_back(w.t), _read_back(w.flow), _read_back(w.pressure),
+                           _read_back(w.volume))
+    scores = score_series(read, params).log_scores
+    return read, ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=read.sample_rate_hz)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HoldscanError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadBackPass:
+    """pipeline's block pass against the whole recording read back after it is generated."""
+
+    @pytest.mark.parametrize("cfg, params", [
+        (MockConfig(rng_seed=7), ModelParams()),
+        (MockConfig(duration_s=(2 * _BLOCK + 777) / 250.0, sample_rate_hz=250.0,
+                    holds=((_BLOCK / 250.0 - 1.0, 2.0),), rng_seed=2**64 + 3), ModelParams()),
+        (MockConfig(duration_s=(_BLOCK - 1) / 100.0, holds=((10.0, 0.7),), rng_seed=1,
+                    noise_sd_flow=0.0, noise_sd_pressure=0.0), ModelParams()),
+        (MockConfig(duration_s=600.0, holds=((100.0, 2.0),), rng_seed=1), ModelParams(var_flow=1e-306)),
+        (MockConfig(duration_s=97.0, sample_rate_hz=7.3, holds=((30.0, 3.0),), rng_seed=5),
+         ModelParams(mu_pressure=14.0)),
+    ])
+    def test_bit_identical(self, cfg, params):
+        w, trace = _stage_read_back(cfg, params)
+        ref_w, ref_trace = read_back_stages(cfg, params)
+        for name in ("t", "flow", "pressure", "volume"):
+            assert getattr(w, name).tobytes() == getattr(ref_w, name).tobytes()
+        assert trace.log_scores.tobytes() == ref_trace.log_scores.tobytes()
+        assert w.sample_rate_hz == ref_w.sample_rate_hz == trace.sample_rate_hz
+
+    @pytest.mark.parametrize("cfg", [
+        MockConfig(duration_s=0.001, holds=((0.0, 0.001),), rng_seed=9),  # no samples
+        MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=9),  # one sample
+        # one sample that is not finite: the recording's own error comes first
+        MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=7, noise_sd_flow=1.7e308),
+        MockConfig(duration_s=30.0, holds=((0.0, 1.0),), rng_seed=9, noise_sd_flow=1e308),
+        # a 7.3 Hz grid that 9 digits do not keep uniform
+        MockConfig(duration_s=300.0, sample_rate_hz=7.3, holds=((100.0, 3.0),), rng_seed=4),
+    ])
+    def test_same_error(self, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _outcome(_stage_read_back, cfg, ModelParams())
+            want = _outcome(read_back_stages, cfg, ModelParams())
+        assert isinstance(want, tuple) and issubclass(want[0], HoldscanError)
+        assert got == want
+
+    def test_cli_error_line(self):
+        argv = ["--seed", "7", "--duration-s", "0.01", "--hold", "0:0.01", "--noise-sd-flow", "1.7e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the noise overflows
+            code, out, err = run_cli(["pipeline", *argv])
+            assert run_cli(["generate", *argv])[0] == 1
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: channel 'flow' has a non-finite value at index 0"
 
 
 class TestNoiseFree:

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from holdscan import (
     summarize_segment,
     write_segments_ndjson,
 )
-from holdscan.detection import SEGMENT_RECORD_KEYS
+from holdscan.detection import SEGMENT_RECORD_KEYS, _window_mean
 
 RATE = 100.0
 
@@ -79,14 +81,14 @@ def detect_holds_loop(trace, config=DetectionConfig()):
                 start_s=a / rate,
                 end_s=b / rate,
                 peak_log_score=peak,
-                mean_log_score=min(float(np.mean(window)), peak),
+                mean_log_score=min(_window_mean(window), peak),
             )
         )
     return out
 
 
 def _as_rows(segments):
-    """Segments as tuples; NaN (a mean over +huge and -inf) compares by repr."""
+    """Segments as tuples, floats by repr (so -0.0 and 0.0 differ)."""
     return [tuple(repr(v) if isinstance(v, float) else v for v in dataclasses.astuple(s))
             for s in segments]
 
@@ -126,9 +128,10 @@ class TestAgainstLoop:
     @given(case=_detection_cases())
     def test_matches_loop(self, case):
         trace, cfg = case
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             segs = detect_holds(trace, cfg)
-            assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
+        assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
         for seg in segs:
             assert (seg.end_index - seg.start_index) / trace.sample_rate_hz >= cfg.min_duration_s
         for prev, nxt in zip(segs, segs[1:]):
@@ -141,6 +144,57 @@ class TestAgainstLoop:
             scores[rng.random(2000) < 0.05] = -np.inf
             trace = trace_of(scores)
             assert _as_rows(detect_holds(trace)) == _as_rows(detect_holds_loop(trace))
+
+
+class TestWindowMean:
+    """The mean log-score of a segment: -inf with -inf in it, else the mean, without warnings."""
+
+    @staticmethod
+    def detect(scores):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return detect_holds(trace_of(scores, 1.0), DetectionConfig(log_threshold_off=-np.inf))
+
+    def test_minus_inf_next_to_overflowing_values(self):
+        (seg,) = self.detect([1.7e308, 1.7e308, -np.inf, 1.7e308, -50.0, -50.0, -50.0])
+        assert (seg.start_index, seg.end_index) == (0, 7)
+        assert seg.peak_log_score == 1.7e308
+        assert seg.mean_log_score == -np.inf
+        buf = io.StringIO()
+        write_segments_ndjson([segment_record(summarize_segment(
+            make_waveform([0.0] * 7, [15.0] * 7, rate=1.0), seg))], buf)
+        assert "NaN" not in buf.getvalue()
+
+    @pytest.mark.parametrize("scores", [
+        [1.7e308] * 3 + [-50.0],
+        [0.0, -1.7e308, -1.7e308, -1.7e308],
+        [_MAX, _MAX, -_MAX, _MAX] * 5,
+    ])
+    def test_sum_out_of_range_gives_the_mean(self, scores):
+        (seg,) = self.detect(scores)
+        exact = float(sum(map(Fraction, scores)) / len(scores))
+        assert math.isfinite(seg.mean_log_score)
+        assert seg.mean_log_score == pytest.approx(exact, rel=1e-15)
+        assert seg.mean_log_score <= seg.peak_log_score
+
+    def test_same_bits_as_np_mean_in_range(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 200, 5000):
+            window = rng.normal(-5.0, 3.0, n)
+            assert _window_mean(window) == float(np.mean(window))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from([-np.inf, _MAX, -_MAX]), min_size=1, max_size=50))
+    def test_any_window(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _window_mean(np.array(values))
+        if -np.inf in values:
+            assert got == -np.inf
+        else:
+            exact = float(sum(map(Fraction, values)) / len(values))
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12 * max(map(abs, values)))
 
 
 class TestConfig:

@@ -3,17 +3,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holdscan import (
     DetectionConfig,
     InvalidConfig,
     MockConfig,
+    Waveform,
     detect_holds,
     generate_mock_waveform,
     integrate_volume,
     score_series,
 )
-from holdscan.mockgen import _hold_mask, _splitmix64, _standard_normals
+from holdscan.mockgen import DECAY_RATE, _BLOCK, _blocks, _hold_mask, _splitmix64, _standard_normals
 
 MASK64 = (1 << 64) - 1
 
@@ -40,6 +43,105 @@ def ref_normals(seed, first_counter, count):
         u2 = (w1 >> 11) * 2.0**-53
         out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     return out
+
+
+def generate_whole(config):
+    """The recording computed over all samples at once; the test oracle."""
+    n = int(round(config.duration_s * config.sample_rate_hz))
+    if n < 1:
+        raise InvalidConfig(
+            f"duration {config.duration_s} s at {config.sample_rate_hz} Hz yields no samples"
+        )
+    rate = config.sample_rate_hz
+    t = np.arange(n, dtype=np.float64) / rate
+
+    period = 60.0 / config.respiratory_rate_bpm
+    t_insp = period * config.i_to_e_ratio / (1.0 + config.i_to_e_ratio)
+    t_exp = period - t_insp
+    phase = np.mod(t, period)
+    insp = phase < t_insp
+    u = phase / t_insp
+    v = (phase - t_insp) / t_exp
+
+    peep = config.peep_cmh2o
+    peak_p = config.peak_pressure_cmh2o
+    with np.errstate(over="ignore"):
+        flow = np.where(
+            insp,
+            config.peak_flow_lpm * np.exp(-DECAY_RATE * u),
+            -config.peak_flow_lpm * config.i_to_e_ratio * np.exp(-DECAY_RATE * v),
+        )
+        pressure = np.where(
+            insp,
+            peep + (peak_p - peep) * u,
+            peep + (peak_p - peep) * np.exp(-DECAY_RATE * v),
+        )
+
+    hold_mask = per_hold_mask(t, config.holds)
+    flow = np.where(hold_mask, 0.0, flow)
+    pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
+
+    flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 0, n)
+    pressure = pressure + config.noise_sd_pressure * _standard_normals(config.rng_seed, 2 * n, n)
+
+    flow_lps = flow / 60.0
+    volume = np.empty(n, dtype=np.float64)
+    volume[0] = 0.0
+    if n > 1:
+        steps = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
+        np.cumsum(steps, out=volume[1:])
+    return Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=rate, volume=volume)
+
+
+def per_hold_mask(t, holds):
+    """One comparison pass per hold: the mask's definition."""
+    mask = np.zeros(len(t), dtype=bool)
+    for start, dur in holds:
+        mask |= (t >= start) & (t < start + dur)
+    return mask
+
+
+@st.composite
+def _block_cases(draw):
+    """A recording of one block multiple, one sample less or more, with holds over block edges."""
+    size = draw(st.sampled_from([1, 7, 1000, _BLOCK]))
+    rate = draw(st.sampled_from([3.0, 7.3, 100.0, 250.0]))
+    blocks = draw(st.integers(1, 3 if size > 1 else 300))
+    n = max(1, size * blocks + draw(st.sampled_from([-1, 0, 1])))
+    duration = n / rate  # within an ulp of n samples, so it rounds to n
+    holds = []
+    for edge in range(size, n, size)[: draw(st.integers(0, 3))]:
+        # a hold from just before a block edge to just after it
+        start = (edge - draw(st.integers(1, 3))) / rate
+        length = draw(st.integers(1, 6)) / rate
+        if start >= (sum(holds[-1]) if holds else 0.0) and start + length <= duration:
+            holds.append((start, length))
+    noise = draw(st.sampled_from([1.0, 0.0]))
+    cfg = MockConfig(duration_s=duration, sample_rate_hz=rate, holds=tuple(holds),
+                     noise_sd_flow=noise, noise_sd_pressure=noise,
+                     rng_seed=draw(st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70)))
+    return cfg, size
+
+
+class TestBlocks:
+    """The recording computed block by block against the whole-array oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_block_cases())
+    def test_matches_whole_array(self, case):
+        cfg, size = case
+        ref = generate_whole(cfg)
+        n = len(ref)
+        assert n == int(round(cfg.duration_s * cfg.sample_rate_hz))
+        blocks = list(_blocks(cfg, n, size))
+        assert [b[0] for b in blocks] == list(range(0, n, size))
+        w, truth = generate_mock_waveform(cfg)
+        for k, name in enumerate(("t", "flow", "pressure", "volume"), start=1):
+            joined = np.concatenate([b[k] for b in blocks])
+            assert joined.tobytes() == getattr(ref, name).tobytes()
+            assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
+        assert w.sample_rate_hz == ref.sample_rate_hz
+        assert truth.hold_segments == tuple(sorted((s, s + d) for s, d in cfg.holds))
 
 
 class TestSplitMix64:
@@ -141,14 +243,6 @@ class TestShape:
         cfg = MockConfig(holds=((10.0, 1.0), (45.0, 2.0)), rng_seed=0)
         _, truth = generate_mock_waveform(cfg)
         assert truth.hold_segments == ((10.0, 11.0), (45.0, 47.0))
-
-
-def per_hold_mask(t, holds):
-    """One comparison pass per hold: the mask's definition."""
-    mask = np.zeros(len(t), dtype=bool)
-    for start, dur in holds:
-        mask |= (t >= start) & (t < start + dur)
-    return mask
 
 
 # hold edges on a sample, between samples, and one hold ending where the next

@@ -26,6 +26,7 @@ from holdscan import (
     waveform_to_csv,
     write_score_trace_csv,
 )
+from holdscan.mockgen import _BLOCK
 from holdscan.waveform import _check_grid, _read_back, check_time_grid, format_value
 
 CSV_3ROWS = "t,flow,pressure\n0.00,10.0,5.0\n0.01,20.0,6.0\n0.02,30.0,7.0\n"
@@ -383,9 +384,9 @@ def _text_round_trip(values):
 
 
 @st.composite
-def _near_ties(draw):
+def _near_ties(draw, exponents=st.integers(-40, 40)):
     """Values at, or one ulp from, a 9-digit rounding tie or a power of ten."""
-    exponent = draw(st.integers(-40, 40))
+    exponent = draw(exponents)
     if draw(st.booleans()):
         mantissa = draw(st.integers(10**8, 10**9 - 1))
         v = float(f"{mantissa}5e{exponent - 9}")
@@ -410,6 +411,28 @@ class TestReadBack:
     def test_matches_text_round_trip(self, values):
         assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
 
+    # beyond the exact powers of ten: huge and tiny values, subnormals, and
+    # ties in every decade a float reaches
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.floats(allow_nan=False).filter(lambda v: not 1e-14 <= abs(v) < 1e31)
+        | st.floats(min_value=-1e-300, max_value=1e-300)
+        | _near_ties(st.integers(-315, 308)),
+        min_size=1, max_size=60,
+    ))
+    def test_wide_matches_text_round_trip(self, values):
+        assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
+
+    def test_full_block_of_wide_values(self):
+        # a whole block beyond 1e31, below 1e-14, and -inf, as in the log-scores
+        # of a model with a tiny variance
+        rng = np.random.default_rng(3)
+        exponents = rng.uniform(-323.0, 308.0, 2 * _BLOCK)
+        values = -(10.0 ** exponents[np.abs(exponents - 8.0) > 23.0])[:_BLOCK]
+        values[::5] = -np.inf
+        assert len(values) == _BLOCK
+        assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
+
     def test_recording_columns(self):
         w, _ = generate_mock_waveform(MockConfig(duration_s=60.0, rng_seed=3))
         log_scores = score_series(w).log_scores
@@ -426,11 +449,19 @@ class TestReadBack:
     @pytest.mark.parametrize("decades", [-1.0, 1.0])
     def test_wrong_decade_estimate_stays_exact(self, decades):
         # a log10 that puts values in the wrong decade must cost speed only
-        values = np.array([0.1234567891, 98765.43215, -7.0000000049, 1.0, 999999999.7])
+        values = np.array([0.1234567891, 98765.43215, -7.0000000049, 1.0, 999999999.7,
+                           1.234567891e200, -9.87654321e-250, 5e-324, 1.7976931348623157e308])
         log10 = np.log10
         with mock.patch.object(np, "log10", lambda a: log10(a) + decades):
             got = _read_back(values)
         assert got.tobytes() == _text_round_trip(values).tobytes()
+
+    def test_into_out(self):
+        # the exact-power path, the text path and pass-through values all land in out
+        values = np.array([0.1234567891, -0.0, np.inf, 1e300, 5e-324, 98765.43215])
+        out = np.full(len(values), 7.0)
+        assert _read_back(values, out=out) is out
+        assert out.tobytes() == _text_round_trip(values).tobytes()
 
     def test_input_left_alone(self):
         values = np.array([0.1234567891, -0.0, np.inf])
