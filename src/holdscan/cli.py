@@ -6,14 +6,11 @@ stdout and diagnostics on stderr.  Each command parses each of its inputs
 once; the stage helpers below work on parsed objects.
 
 ``pipeline`` runs the four stages with the data flow of the separate
-commands, so its output is byte-identical to piping them by hand.  The
-separate commands only ever see the 9-digit text of the waveform and the
-score trace; ``pipeline`` computes the values a reader gives for that text
-in numpy (``waveform._read_back``) and writes the text only to save it.  It
-takes the generator's blocks one at a time and reads back, scores and reads
-back the log-scores of each while it is in cache, so the generated recording
-is never built whole.  The segment records stay in memory (their NDJSON
-round trip is exact).
+commands, so its output is byte-identical to piping them by hand; its pass
+over the blocks of the recording is :mod:`holdscan.stream`, which never
+holds the whole recording.  A ``--save-*`` destination is written block by
+block to an unnamed temporary file and copied to its path, or to stdout for
+``-``, only when the run succeeds.
 
 The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
@@ -28,10 +25,10 @@ import argparse
 import ast
 import io
 import json
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
-
-import numpy as np
 
 from .detection import (
     DetectionConfig,
@@ -42,30 +39,17 @@ from .detection import (
     write_segments_ndjson,
 )
 from .errors import HoldscanError, InvalidConfig, MalformedRow
-from .mechanics import report_hold
-from .mockgen import (
-    _BLOCK,
-    MockConfig,
-    _blocks,
-    _ground_truth,
-    _sample_count,
-    generate_mock_waveform,
-)
+from .mechanics import _check_peep, report_hold
+from .mockgen import MockConfig, _ground_truth, generate_mock_waveform
 from .scoring import (
     ModelParams,
     ScoreTrace,
-    _log_scores_array,
     load_score_trace_csv,
     score_series,
     write_score_trace_csv,
 )
-from .waveform import (
-    Waveform,
-    _build_waveform,
-    _read_back,
-    load_waveform_csv,
-    waveform_to_csv,
-)
+from .stream import _stage_blocks
+from .waveform import Waveform, load_waveform_csv, waveform_to_csv
 
 _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
@@ -85,33 +69,28 @@ def _ground_truth_text(cfg: MockConfig) -> str:
     )
 
 
-def _stage_read_back(cfg: MockConfig, params: ModelParams) -> tuple[Waveform, ScoreTrace]:
-    """What ``score`` and ``detect`` read from ``generate``'s and ``score``'s text, without it.
+class _Save:
+    """A ``--save-*`` destination that ``pipeline`` writes while it runs.
 
-    Each block of the recording is generated, read back (the values a
-    reader gives for the 9-digit text), scored and its log-scores read
-    back while it is in cache, so the generated recording is never built.
+    The text goes to an unnamed temporary file (in ``tempfile``'s directory,
+    ``TMPDIR``), which :meth:`commit` copies to the destination as the
+    separate commands write it: ``-`` to stdout, a path opened for writing at
+    the end.  So an error leaves no file behind and an existing one as it
+    was, a symlink is written through, and a file keeps its mode, owner and
+    links.  The temporary file is removed when it is closed.
     """
-    n = _sample_count(cfg)
-    # Longer recordings are read back into columns, so that each block's
-    # temporaries are freed and reused while in cache; one block's arrays
-    # serve as they are.
-    columns = np.empty((5, n)) if n > _BLOCK else None  # t, flow, pressure, volume, log_score
-    for start, *block in _blocks(cfg, n):
-        out = [None] * 5 if columns is None else columns[:, start : start + len(block[0])]
-        read = [_read_back(values, out=row) for values, row in zip(block, out)]
-        # a value that is not finite stops the run below, before it is scored
-        with np.errstate(invalid="ignore"):
-            read.append(_read_back(_log_scores_array(read[1], read[2], params), out=out[4]))
-    t, flow, pressure, volume, log_scores = read if columns is None else columns
-    try:
-        w = _build_waveform(t, flow, pressure, volume)
-    except HoldscanError:
-        # ``generate`` checks the recording itself first; a value that is
-        # not finite stays so when read back, so only the order can differ
-        generate_mock_waveform(cfg)
-        raise
-    return w, ScoreTrace(log_scores=log_scores, sample_rate_hz=w.sample_rate_hz)
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.stream = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+    def commit(self, stdout) -> None:
+        self.stream.seek(0)
+        if self.path == "-":
+            shutil.copyfileobj(self.stream, stdout)
+        else:
+            with open(self.path, "w", encoding="utf-8", newline="") as fh:
+                shutil.copyfileobj(self.stream, fh)
 
 
 def _trace_text(w: Waveform, trace: ScoreTrace, linear: bool = False) -> str:
@@ -233,7 +212,9 @@ def _parse_config_file(text: str) -> dict:
             raise InvalidConfig(f"config line {lineno}: unknown key {key!r}")
         try:
             out[key] = ast.literal_eval(value.strip())
-        except (ValueError, SyntaxError):
+        # a TypeError for an unhashable key, and a MemoryError or
+        # RecursionError for nesting deeper than the parser takes
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
             raise InvalidConfig(
                 f"config line {lineno}: cannot parse value {value.strip()!r}"
             ) from None
@@ -253,8 +234,12 @@ def _parse_hold_spec(spec: str) -> tuple[float, float]:
 def _mock_config_from(ns: argparse.Namespace) -> MockConfig:
     from_file: dict = {}
     if ns.config is not None:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            from_file = _parse_config_file(fh.read())
+        try:
+            with open(ns.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"config {ns.config} is not UTF-8 text: {exc}") from None
+        from_file = _parse_config_file(text)
 
     kwargs: dict = {}
     for name in _MOCK_FIELD_NAMES:
@@ -337,29 +322,34 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
 def _cmd_report(ns, stdin, stdout, stderr) -> int:
     if ns.waveform == "-" and ns.segments == "-":
         raise _UsageError("at most one of waveform and --segments may read stdin")
+    peep = _check_peep(ns.peep)
     wave_text = _read_input(ns.waveform, stdin)
     seg_text = _read_input(ns.segments, stdin)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    out = _stage_report(w, read_segments_ndjson(seg_text), ns.peep)
+    out = _stage_report(w, read_segments_ndjson(seg_text), peep)
     _write_output(ns.output, out, stdout)
     return 0
 
 
 def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    # The text is written only to save it.
-    w, trace = _stage_read_back(cfg, _model_from_ns(ns))
-    records = _stage_detect(trace, w, _detection_from_ns(ns))
-    report_text = _stage_report(w, records, ns.peep)
-    if ns.ground_truth is not None:
-        _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
-    if ns.save_waveform is not None:
-        _write_output(ns.save_waveform, waveform_to_csv(w), stdout)
-    if ns.save_trace is not None:
-        _write_output(ns.save_trace, _trace_text(w, trace), stdout)
-    if ns.save_segments is not None:
-        _write_output(ns.save_segments, _segments_text(records), stdout)
-    _write_output(ns.output, report_text, stdout)
+    params, config = _model_from_ns(ns), _detection_from_ns(ns)
+    peep = _check_peep(ns.peep)
+    saves: dict[str, _Save] = {}
+    try:
+        for name in ("save_waveform", "save_trace", "save_segments"):
+            if getattr(ns, name) is not None:
+                saves[name] = _Save(getattr(ns, name))
+        report_text = _stage_blocks(cfg, params, config, peep,
+                                    **{name: save.stream for name, save in saves.items()})
+        if ns.ground_truth is not None:
+            _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
+        for save in saves.values():
+            save.commit(stdout)
+        _write_output(ns.output, report_text, stdout)
+    finally:
+        for save in saves.values():
+            save.stream.close()
     return 0
 
 

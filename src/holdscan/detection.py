@@ -22,9 +22,9 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidRange, MalformedRow
+from .errors import InvalidConfig, MalformedRow, _real
 from .scoring import ScoreTrace
-from .waveform import Waveform, _decode_lines
+from .waveform import Waveform, _check_span, _decode_lines
 
 # Keys of one exported segment record, in canonical output order.
 SEGMENT_RECORD_KEYS = (
@@ -47,17 +47,19 @@ class DetectionConfig:
     merge_gap_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if math.isnan(self.log_threshold_on) or math.isnan(self.log_threshold_off):
+        if math.isnan(_real("log_threshold_on", self.log_threshold_on)) or math.isnan(
+            _real("log_threshold_off", self.log_threshold_off)
+        ):
             raise InvalidConfig("thresholds must not be NaN")
         if self.log_threshold_off > self.log_threshold_on:
             raise InvalidConfig(
                 f"log_threshold_off ({self.log_threshold_off}) must not exceed "
                 f"log_threshold_on ({self.log_threshold_on})"
             )
-        if not math.isfinite(self.min_duration_s) or self.min_duration_s < 0:
-            raise InvalidConfig(f"min_duration_s must be >= 0, got {self.min_duration_s}")
-        if not math.isfinite(self.merge_gap_s) or self.merge_gap_s < 0:
-            raise InvalidConfig(f"merge_gap_s must be >= 0, got {self.merge_gap_s}")
+        for name in ("min_duration_s", "merge_gap_s"):
+            v = getattr(self, name)
+            if not math.isfinite(_real(name, v)) or v < 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -99,47 +101,100 @@ def detect_holds(trace: ScoreTrace, config: DetectionConfig = DetectionConfig())
     """
     ls = trace.log_scores
     rate = trace.sample_rate_hz
-    on = config.log_threshold_on
-    off = config.log_threshold_off
+    scan = _HoldScan(config, rate)
+    runs = scan.feed(ls) + scan.finish()
+    return [_hold_segment(a, b, ls[a:b], rate) for a, b in runs]
 
-    # Raw runs from the samples that can open one (>= on) and those that
-    # close one (< off); no sample is both, since off <= on.  ``pos[j]``
-    # counts the closing samples before on-sample j, so a run opens at the
-    # first on-sample and at each one with a closing sample since the last,
-    # and closes at the next closing sample, or at the end of the trace.
-    on_idx = np.flatnonzero(ls >= on)
-    off_idx = np.flatnonzero(ls < off)
-    pos = np.searchsorted(off_idx, on_idx)
-    opens = np.ones(len(on_idx), dtype=bool)
-    opens[1:] = pos[1:] > pos[:-1]
-    closes = np.append(off_idx, len(ls))[pos[opens]]
-    raw = list(zip(on_idx[opens].tolist(), closes.tolist()))
 
-    merged: list[tuple[int, int]] = []
-    for seg in raw:
-        if merged and (seg[0] - merged[-1][1]) / rate < config.merge_gap_s:
-            merged[-1] = (merged[-1][0], seg[1])
-        else:
-            merged.append(seg)
+class _HoldScan:
+    """The hysteresis scan of :func:`detect_holds`, resumable over consecutive blocks of a trace.
 
-    out: list[HoldSegment] = []
-    for a, b in merged:
-        if (b - a) / rate < config.min_duration_s:
-            continue
-        window = ls[a:b]
-        peak = float(np.max(window))
-        out.append(
-            HoldSegment(
-                start_index=a,
-                end_index=b,
-                start_s=a / rate,
-                end_s=b / rate,
-                peak_log_score=peak,
-                # the mean of n equal values can round one ulp above them
-                mean_log_score=min(_window_mean(window), peak),
-            )
-        )
-    return out
+    :meth:`feed` takes the next block of log-scores and returns the runs
+    ``(start, end)`` (trace indices) that are final: merged, at least
+    ``min_duration_s`` long, and past any run that could still merge into
+    them.  :meth:`finish` closes the trace and returns the rest.  Across
+    blocks the scan carries its position and the current merged run, which
+    is open (no closing sample yet) or pending (closed, but a run opening
+    within ``merge_gap_s`` would still extend it).  Blocks of any size give
+    the runs of the whole trace in one block.
+    """
+
+    def __init__(self, config: DetectionConfig, rate: float) -> None:
+        self._config = config
+        self._rate = rate
+        self._pos = 0  # trace index of the next sample
+        self._run: list | None = None  # [start, end] of the current merged run; end None while open
+
+    @property
+    def keep_from(self) -> int:
+        """The first trace index a run still to be returned can contain."""
+        return self._pos if self._run is None else self._run[0]
+
+    def feed(self, ls: np.ndarray) -> list[tuple[int, int]]:
+        on = self._config.log_threshold_on
+        off = self._config.log_threshold_off
+        p0 = self._pos
+        self._pos += len(ls)
+
+        # Raw runs from the samples that can open one (>= on) and those that
+        # close one (< off); no sample is both, since off <= on.  ``pos[j]``
+        # counts the closing samples before on-sample j, so a run opens at the
+        # first on-sample (unless one is open from the last block) and at each
+        # one with a closing sample since the last, and closes at the next
+        # closing sample, or stays open past the end of the block.
+        on_idx = np.flatnonzero(ls >= on)
+        off_idx = np.flatnonzero(ls < off)
+        pos = np.searchsorted(off_idx, on_idx)
+        opens = np.ones(len(on_idx), dtype=bool)
+        opens[1:] = pos[1:] > pos[:-1]
+        carried = self._run is not None and self._run[1] is None
+        if carried and len(on_idx):
+            opens[0] = pos[0] > 0
+        closes = np.append(off_idx, len(ls))[pos[opens]]
+
+        out: list[tuple[int, int]] = []
+        if carried and len(off_idx):
+            self._run[1] = p0 + int(off_idx[0])
+        for a, b in zip(on_idx[opens].tolist(), closes.tolist()):
+            a, b = p0 + a, (p0 + b if b < len(ls) else None)
+            if self._run is not None and (a - self._run[1]) / self._rate < self._config.merge_gap_s:
+                self._run[1] = b
+            else:
+                self._emit(out)
+                self._run = [a, b]
+        # a run that opens from here on starts at self._pos or later
+        if (self._run is not None and self._run[1] is not None
+                and (self._pos - self._run[1]) / self._rate >= self._config.merge_gap_s):
+            self._emit(out)
+        return out
+
+    def finish(self) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+        if self._run is not None and self._run[1] is None:
+            self._run[1] = self._pos
+        self._emit(out)
+        return out
+
+    def _emit(self, out: list) -> None:
+        if self._run is not None:
+            a, b = self._run
+            if (b - a) / self._rate >= self._config.min_duration_s:
+                out.append((a, b))
+            self._run = None
+
+
+def _hold_segment(a: int, b: int, window: np.ndarray, rate: float) -> HoldSegment:
+    """The segment of samples ``[a, b)``, whose log-scores are ``window``."""
+    peak = float(np.max(window))
+    return HoldSegment(
+        start_index=a,
+        end_index=b,
+        start_s=a / rate,
+        end_s=b / rate,
+        peak_log_score=peak,
+        # the mean of n equal values can round one ulp above them
+        mean_log_score=min(_window_mean(window), peak),
+    )
 
 
 def _window_mean(window: np.ndarray) -> float:
@@ -155,23 +210,27 @@ def _window_mean(window: np.ndarray) -> float:
     return float(np.mean(window / scale)) * scale
 
 
-def summarize_segment(w: Waveform, seg: HoldSegment) -> HoldSummary:
-    """Channel means over the segment; the waveform must be the trace's source."""
-    if seg.end_index > len(w):
-        raise InvalidRange(
-            f"segment [{seg.start_index}, {seg.end_index}) exceeds waveform length {len(w)}"
-        )
-    sl = slice(seg.start_index, seg.end_index)
+def summarize_segment(w: Waveform, seg: HoldSegment, offset: int = 0) -> HoldSummary:
+    """Channel means over the segment; the waveform must be the trace's source.
+
+    ``w`` holds samples ``[offset, offset + len(w))`` of the recording.  A
+    mean is finite where the sum of the samples leaves the float range.
+    """
+    _check_span(w, seg.start_index, seg.end_index, offset)
+    sl = slice(seg.start_index - offset, seg.end_index - offset)
     return HoldSummary(
         segment=seg,
-        mean_pressure=float(np.mean(w.pressure[sl])),
-        mean_flow=float(np.mean(w.flow[sl])),
+        mean_pressure=_window_mean(w.pressure[sl]),
+        mean_flow=_window_mean(w.flow[sl]),
     )
 
 
 def segment_record(summary: HoldSummary) -> dict:
-    """Flatten one summary into the canonical export record."""
+    """Flatten one summary into the canonical export record; its times must be finite."""
     seg = summary.segment
+    if not (math.isfinite(seg.start_s) and math.isfinite(seg.end_s)):
+        # at a rate near the float minimum, index / rate leaves the float range
+        raise InvalidConfig(f"segment times must be finite, got [{seg.start_s}, {seg.end_s}) s")
     return {
         "start_s": seg.start_s,
         "end_s": seg.end_s,
@@ -215,6 +274,12 @@ def read_segments_ndjson(source) -> list[dict]:
                     raise MalformedRow(f"line {lineno}: {key} must be an integer")
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise MalformedRow(f"line {lineno}: {key} must be a number")
+            elif isinstance(value, float) and not math.isfinite(value):
+                # the log-scores may be -inf, as detect writes them
+                if not key.endswith("_log_score"):
+                    raise MalformedRow(f"line {lineno}: {key} must be finite, got {value}")
+                if value != -math.inf:
+                    raise MalformedRow(f"line {lineno}: {key} must be finite or -inf, got {value}")
         if not 0 <= obj["start_index"] < obj["end_index"]:
             raise MalformedRow(
                 f"line {lineno}: indices must satisfy 0 <= start_index < end_index, "

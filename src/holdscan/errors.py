@@ -7,6 +7,8 @@ to a data-validation exit status.
 
 from __future__ import annotations
 
+import numbers
+
 
 class HoldscanError(Exception):
     """Base class for all data and configuration errors raised here."""
@@ -50,3 +52,20 @@ class DegenerateDrivingPressure(HoldscanError):
 
 class DegenerateFlow(HoldscanError):
     """End-inspiratory flow is not positive, so resistance is undefined."""
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, for the range checks of a configuration field.
+
+    A value that is not a real number (text, ``None``, a complex number) or
+    that a float cannot hold (an integer beyond 1.8e308) is an
+    :class:`InvalidConfig`.
+    """
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidConfig(f"{name} is beyond the float range") from None

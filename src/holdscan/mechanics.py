@@ -30,8 +30,10 @@ from .errors import (
     InvalidConfig,
     InvalidRange,
     NonFiniteInput,
+    _real,
 )
-from .waveform import Waveform
+from .detection import _window_mean
+from .waveform import Waveform, _check_span
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -101,8 +103,13 @@ def estimate_resistance(inputs: MechanicsInput) -> float:
     return (inputs.peak_pressure - inputs.plateau_pressure) / inputs.end_inspiratory_flow
 
 
+def _samples(seconds: float, rate: float) -> int:
+    """The number of samples in ``seconds`` at ``rate``, at most 2**62."""
+    return int(round(min(seconds * rate, 2.0**62)))
+
+
 def _window_before(w: Waveform, index: int, window_s: float) -> slice | None:
-    lo = max(0, index - int(round(window_s * w.sample_rate_hz)))
+    lo = max(0, index - _samples(window_s, w.sample_rate_hz))
     if lo >= index:
         return None
     return slice(lo, index)
@@ -141,7 +148,7 @@ def tidal_volume_before(
     """
     if index < 0 or index >= len(w):
         raise InvalidRange(f"index {index} out of bounds for {len(w)} samples")
-    lo = max(0, index - int(round(lookback_s * w.sample_rate_hz)))
+    lo = max(0, index - _samples(lookback_s, w.sample_rate_hz))
     if w.volume is not None:
         vol = w.volume[lo : index + 1]
     else:
@@ -162,60 +169,91 @@ def peep_estimate(
     percentile: float = PEEP_PERCENTILE,
 ) -> float:
     """Low percentile of pre-hold pressure as the PEEP baseline."""
-    lo = max(0, index - int(round(lookback_s * w.sample_rate_hz)))
+    lo = max(0, index - _samples(lookback_s, w.sample_rate_hz))
     window = w.pressure[lo : index + 1]
-    return float(np.percentile(window, percentile))
+    peep = float(np.percentile(window, percentile))
+    if not math.isfinite(peep):
+        # the gap between two neighbouring values left the float range
+        peep = float(np.percentile(window / 2.0, percentile)) * 2.0
+    return peep
 
 
-def report_hold(w: Waveform, record: dict, peep: float | None = None) -> dict:
+def _check_peep(peep: float | None) -> float | None:
+    """A known PEEP as a float; None stays None (PEEP is then estimated)."""
+    if peep is None:
+        return None
+    value = _real("peep", peep)
+    if not math.isfinite(value):
+        raise InvalidConfig(f"peep must be finite, got {peep}")
+    return value
+
+
+def report_hold(w: Waveform, record: dict, peep: float | None = None, offset: int = 0) -> dict:
     """Mechanics report of one detected hold.
 
     ``record`` is a segment record (:func:`holdscan.detection.segment_record`
-    or a line of :func:`holdscan.detection.read_segments_ndjson`); its
-    ``mean_pressure`` is the plateau pressure.  PEEP is ``peep`` when given,
-    otherwise estimated.  A value that cannot be derived is left out, and the
-    record's ``unavailable`` mapping says why.
+    or a line of :func:`holdscan.detection.read_segments_ndjson`).  The plateau
+    pressure is the mean pressure over the hold, the value the record's
+    ``mean_pressure`` holds when ``detect`` wrote it.  PEEP is ``peep`` when
+    given (it must be finite), otherwise estimated.  A value that cannot be
+    derived, or that leaves the float range, is left out, and the record's
+    ``unavailable`` mapping says why.
+
+    ``w`` holds samples ``[offset, offset + len(w))`` of the recording; a
+    window from ``max(0, start_index - VOLUME_LOOKBACK_S * rate)`` to the end
+    of the hold gives the report of the whole recording.
     """
     start, end = record["start_index"], record["end_index"]
-    if not (0 <= start < end <= len(w)):
-        raise InvalidRange(f"segment [{start}, {end}) exceeds waveform length {len(w)}")
+    _check_span(w, start, end, offset)
+    if offset > max(0, start - _samples(VOLUME_LOOKBACK_S, w.sample_rate_hz)):
+        raise InvalidRange(
+            f"waveform samples from {offset} miss the {VOLUME_LOOKBACK_S} s lookback of "
+            f"segment [{start}, {end})"
+        )
+    peep = _check_peep(peep)
+    index = start - offset
+    with np.errstate(all="ignore"):
+        plateau = _window_mean(w.pressure[index : end - offset])
+        peak = peak_pressure_before(w, index)
+        if peep is None:
+            peep = peep_estimate(w, index)
+        vt = tidal_volume_before(w, index)
+        flow = last_positive_flow_before(w, index)
     out = {
         "start_s": record["start_s"],
         "end_s": record["end_s"],
         "start_index": start,
         "end_index": end,
-        "plateau_pressure_cmh2o": record["mean_pressure"],
+        "plateau_pressure_cmh2o": plateau,
     }
     reasons: dict[str, str] = {}
 
-    peak = peak_pressure_before(w, start)
     if peak is None:
         reasons["peak_pressure_cmh2o"] = "no samples before the hold"
     else:
         out["peak_pressure_cmh2o"] = peak
 
-    peep = float(peep) if peep is not None else peep_estimate(w, start)
     out["peep_cmh2o"] = peep
 
-    vt = tidal_volume_before(w, start)
     if vt is None:
         reasons["tidal_volume_l"] = "no volume rise in the lookback window"
+    elif not math.isfinite(vt):
+        reasons["tidal_volume_l"] = "the volume rise in the lookback window leaves the float range"
     else:
         out["tidal_volume_l"] = vt
 
-    flow = last_positive_flow_before(w, start)
     if flow is None:
         reasons["end_inspiratory_flow_lps"] = "no positive flow in the pre-hold window"
     else:
         out["end_inspiratory_flow_lps"] = flow
 
-    if peak is None or vt is None or flow is None:
+    if reasons:
         missing = ", ".join(sorted(reasons))
         reasons["compliance_l_per_cmh2o"] = f"missing inputs: {missing}"
         reasons["resistance_cmh2o_per_lps"] = f"missing inputs: {missing}"
     else:
         inputs = MechanicsInput(
-            plateau_pressure=record["mean_pressure"],
+            plateau_pressure=plateau,
             peak_pressure=peak,
             peep=peep,
             tidal_volume=vt,
@@ -224,9 +262,14 @@ def report_hold(w: Waveform, record: dict, peep: float | None = None) -> dict:
         for key, estimate in (("compliance_l_per_cmh2o", estimate_compliance),
                               ("resistance_cmh2o_per_lps", estimate_resistance)):
             try:
-                out[key] = estimate(inputs)
+                value = estimate(inputs)
             except HoldscanError as exc:
                 reasons[key] = str(exc)
+                continue
+            if math.isfinite(value):
+                out[key] = value
+            else:
+                reasons[key] = "the estimate leaves the float range"
 
     if reasons:
         out["unavailable"] = reasons

@@ -15,12 +15,16 @@ come from the Box-Muller transform (cosine branch only, one variate per pair
 of words).  Flow-noise sample i consumes counters (2i, 2i+1); pressure-noise
 sample i consumes counters (2n+2i, 2n+2i+1) for an n-sample waveform.
 
-The recording can be computed in blocks (``_blocks``; ``pipeline`` takes
-blocks of ``_BLOCK`` samples, whose temporaries stay in cache): every sample
-goes through the same operations as over the whole recording, each block
-draws its noise from its own samples' counters in the layout above, and the
+The recording can be computed in blocks (``_blocks``): every sample goes
+through the same operations as over the whole recording, each block draws
+its noise from its own samples' counters in the layout above, and the
 volume's running sum is carried across blocks, so the bytes do not depend on
-the block size.
+the block size.  ``pipeline`` takes blocks of ``_BLOCK`` samples and keeps
+only one of them, its temporaries and a few seconds of earlier samples at a
+time, so a recording of any length runs in bounded memory; a config may ask
+for at most ``MAX_SAMPLES`` samples.  Values beyond the float range become
+inf or nan without a numpy warning, and the recording's checks then reject
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _real
 from .waveform import Waveform
 
 # Exponential decay constant shared by inspiratory flow and expiratory
@@ -45,6 +49,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Samples computed per block; a block's temporaries stay in cache.
 _BLOCK = 16384
+
+# The most samples a recording may have: 2**32 is about 199 days at 250 Hz.
+# ``pipeline`` streams a recording of any length in bounded memory, so the
+# ceiling is what keeps a mistyped duration from running for years.
+MAX_SAMPLES = 2**32
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class MockConfig:
             object.__setattr__(
                 self, "holds", tuple((float(s), float(d)) for s, d in self.holds)
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"holds must be (start_s, duration_s) pairs: {exc}") from None
         positive = (
             "duration_s",
@@ -81,12 +90,17 @@ class MockConfig:
         )
         for name in positive:
             v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
+            if not math.isfinite(_real(name, v)) or v <= 0:
                 raise InvalidConfig(f"{name} must be positive and finite, got {v}")
         for name in ("noise_sd_flow", "noise_sd_pressure"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            if not math.isfinite(_real(name, v)) or v < 0:
                 raise InvalidConfig(f"{name} must be >= 0 and finite, got {v}")
+        if not float(self.duration_s) * float(self.sample_rate_hz) <= MAX_SAMPLES:
+            raise InvalidConfig(
+                f"duration {self.duration_s} s at {self.sample_rate_hz} Hz gives more than "
+                f"{MAX_SAMPLES} samples"
+            )
         if not isinstance(self.rng_seed, int):
             raise InvalidConfig(f"rng_seed must be an integer, got {self.rng_seed!r}")
         for start, dur in self.holds:
@@ -185,45 +199,48 @@ def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
     last = None  # (t, flow in L/s, volume) of the previous block's last sample
     for start in range(0, n, size):
         m = min(size, n - start)
-        t = np.arange(start, start + m, dtype=np.float64) / rate
+        # values beyond the float range become inf or nan without a warning;
+        # the checks of the recording then report the first of them
+        with np.errstate(all="ignore"):
+            t = np.arange(start, start + m, dtype=np.float64) / rate
 
-        phase = np.mod(t, period)
-        insp = phase < t_insp
-        u = phase / t_insp  # inspiratory phase fraction, valid where insp
-        v = (phase - t_insp) / t_exp  # expiratory phase fraction, valid elsewhere
-        decay = np.exp(-DECAY_RATE * np.where(insp, u, v))  # of the sample's own phase
-        flow = np.where(
-            insp,
-            config.peak_flow_lpm * decay,
-            -config.peak_flow_lpm * config.i_to_e_ratio * decay,
-        )
-        pressure = np.where(
-            insp,
-            peep + (peak_p - peep) * u,
-            peep + (peak_p - peep) * decay,
-        )
+            phase = np.mod(t, period)
+            insp = phase < t_insp
+            u = phase / t_insp  # inspiratory phase fraction, valid where insp
+            v = (phase - t_insp) / t_exp  # expiratory phase fraction, valid elsewhere
+            decay = np.exp(-DECAY_RATE * np.where(insp, u, v))  # of the sample's own phase
+            flow = np.where(
+                insp,
+                config.peak_flow_lpm * decay,
+                -config.peak_flow_lpm * config.i_to_e_ratio * decay,
+            )
+            pressure = np.where(
+                insp,
+                peep + (peak_p - peep) * u,
+                peep + (peak_p - peep) * decay,
+            )
 
-        hold_mask = _hold_mask(t, config.holds)
-        flow = np.where(hold_mask, 0.0, flow)
-        pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
+            hold_mask = _hold_mask(t, config.holds)
+            flow = np.where(hold_mask, 0.0, flow)
+            pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
 
-        flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 2 * start, m)
-        pressure = pressure + config.noise_sd_pressure * _standard_normals(
-            config.rng_seed, 2 * n + 2 * start, m
-        )
+            flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 2 * start, m)
+            pressure = pressure + config.noise_sd_pressure * _standard_normals(
+                config.rng_seed, 2 * n + 2 * start, m
+            )
 
-        # trapezoid steps into each sample; the first sample of the recording has none
-        flow_lps = flow / 60.0
-        volume = np.empty(m)
-        volume[1:] = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
-        if last is None:
-            volume[0] = 0.0
-            np.cumsum(volume[1:], out=volume[1:])
-        else:
-            last_t, last_flow_lps, last_volume = last
-            volume[0] = last_volume + (t[0] - last_t) * 0.5 * (flow_lps[0] + last_flow_lps)
-            np.cumsum(volume, out=volume)
-        last = (t[-1], flow_lps[-1], volume[-1])
+            # trapezoid steps into each sample; the first sample of the recording has none
+            flow_lps = flow / 60.0
+            volume = np.empty(m)
+            volume[1:] = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
+            if last is None:
+                volume[0] = 0.0
+                np.cumsum(volume[1:], out=volume[1:])
+            else:
+                last_t, last_flow_lps, last_volume = last
+                volume[0] = last_volume + (t[0] - last_t) * 0.5 * (flow_lps[0] + last_flow_lps)
+                np.cumsum(volume, out=volume)
+            last = (t[-1], flow_lps[-1], volume[-1])
         yield start, t, flow, pressure, volume
 
 

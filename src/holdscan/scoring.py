@@ -37,6 +37,7 @@ from .errors import (
     MalformedRow,
     NonFiniteInput,
     NonPositiveVariance,
+    _real,
 )
 from .waveform import Waveform, _read_table, _write_rows, check_time_grid
 
@@ -61,7 +62,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("mu_flow", "var_flow", "mu_pressure", "var_pressure"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not math.isfinite(_real(name, v)):
                 raise NonFiniteInput(f"{name} must be finite, got {v}")
         if self.var_flow <= 0:
             raise NonPositiveVariance(f"var_flow must be > 0, got {self.var_flow}")
@@ -80,8 +81,7 @@ class ScoreTrace:
         arr = np.asarray(self.log_scores, dtype=np.float64)
         if arr.ndim != 1:
             raise MalformedRow("log_scores must be 1-dimensional")
-        if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-            raise NonFiniteInput("log_scores entries must be finite or -inf")
+        _check_log_scores(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "log_scores", arr)
@@ -92,6 +92,11 @@ class ScoreTrace:
 
     def __len__(self) -> int:
         return len(self.log_scores)
+
+
+def _check_log_scores(log_scores: np.ndarray) -> None:
+    if np.any(np.isnan(log_scores)) or np.any(log_scores == np.inf):
+        raise NonFiniteInput("log_scores entries must be finite or -inf")
 
 
 def _check_finite(**named: float) -> None:
@@ -147,21 +152,21 @@ def log_score_sample(flow: float, pressure: float, params: ModelParams = ModelPa
 
 
 def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
-    df = flow - params.mu_flow
-    dp = pressure - params.mu_pressure
     # a squared deviation that overflows makes the log-score -inf, as in
-    # log_score_sample
-    with np.errstate(over="ignore"):
+    # log_score_sample; one that meets an infinite variance makes it nan,
+    # which the checks of a ScoreTrace reject
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        df = flow - params.mu_flow
+        dp = pressure - params.mu_pressure
         lq = (
             -0.5 * math.log(_TWO_PI * params.var_flow)
             - df * df / (2.0 * params.var_flow)
             - 0.5 * math.log(_TWO_PI * params.var_pressure)
             - dp * dp / (2.0 * params.var_pressure)
         )
-    np.minimum(lq, LOG_Q_MAX, out=lq)
-    with np.errstate(under="ignore"):
+        np.minimum(lq, LOG_Q_MAX, out=lq)
         q = np.exp(lq)
-    return lq - np.log1p(-q)
+        return lq - np.log1p(-q)
 
 
 def score_series(w: Waveform, params: ModelParams = ModelParams()) -> ScoreTrace:

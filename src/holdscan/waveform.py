@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     InvalidConfig,
+    InvalidRange,
     MalformedRow,
     NonFiniteInput,
     NonMonotonicTime,
@@ -41,6 +42,9 @@ SPACING_RTOL = 1e-6
 
 # Significant digits used when serializing values to CSV.
 CSV_DIGITS = 9
+
+# The channels of a waveform, in the order its checks visit them.
+_CHANNELS = ("t", "flow", "pressure", "volume")
 
 _HEADER_BASE = ("t", "flow", "pressure")
 _HEADER_VOLUME = ("t", "flow", "pressure", "volume")
@@ -78,25 +82,59 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.t)
 
+    @classmethod
+    def _checked(cls, t, flow, pressure, sample_rate_hz: float, volume=None) -> Waveform:
+        """A waveform of float64 arrays that passed the checks already; not copied."""
+        w = object.__new__(cls)
+        for name, arr in (("t", t), ("flow", flow), ("pressure", pressure), ("volume", volume)):
+            if arr is not None:
+                arr = arr.view()
+                arr.flags.writeable = False
+            object.__setattr__(w, name, arr)
+        object.__setattr__(w, "sample_rate_hz", sample_rate_hz)
+        return w
 
-def _check_grid(t: np.ndarray, rate: float) -> None:
-    """Raise unless ``t`` is strictly increasing with spacing ``1 / rate``."""
-    if len(t) < 2:
-        return
-    dt = np.diff(t)
-    if not np.all(dt > 0):
-        bad = int(np.flatnonzero(dt <= 0)[0])
-        raise NonMonotonicTime(
-            f"timestamps not strictly increasing at index {bad + 1} "
-            f"(t={float(t[bad])!r} then t={float(t[bad + 1])!r})"
-        )
-    nominal = 1.0 / rate
-    dev = float(np.max(np.abs(dt - nominal)))
-    if dev > SPACING_RTOL * nominal:
-        raise NonUniformSampling(
-            f"timestamp spacing deviates from {nominal} s by {dev} "
-            f"(allowed {SPACING_RTOL * nominal})"
-        )
+
+def _backward(index: int, before: float, after: float) -> NonMonotonicTime:
+    return NonMonotonicTime(
+        f"timestamps not strictly increasing at index {index} "
+        f"(t={float(before)!r} then t={float(after)!r})"
+    )
+
+
+def _non_finite(name: str, index: int) -> NonFiniteInput:
+    return NonFiniteInput(f"channel {name!r} has a non-finite value at index {index}")
+
+
+def _uneven(nominal: float, dev: float) -> NonUniformSampling:
+    return NonUniformSampling(
+        f"timestamp spacing deviates from {nominal} s by {dev} "
+        f"(allowed {SPACING_RTOL * nominal})"
+    )
+
+
+def _check_grid(t: np.ndarray, rate: float, *channels: np.ndarray | None) -> None:
+    """Raise what :func:`validate_waveform` raises for ``t`` and ``channels`` at ``rate``.
+
+    The first non-finite value, else the first step of ``t`` that is not
+    forward, else a spacing that deviates from ``1 / rate``.
+    """
+    check = _BlockCheck(rate)
+    check.feed(t, *channels)
+    check.raise_first()
+
+
+def _check_span(w: Waveform, start: int, end: int, offset: int = 0) -> None:
+    """Raise unless samples ``[start, end)`` of a recording lie in ``w``,
+    which holds its samples from ``offset`` on."""
+    if not offset <= start < end <= offset + len(w):
+        held = f"samples [{offset}, {offset + len(w)})" if offset else f"length {len(w)}"
+        raise InvalidRange(f"segment [{start}, {end}) exceeds waveform {held}")
+
+
+def _check_rate(rate: float) -> None:
+    if not math.isfinite(rate) or rate <= 0:
+        raise InvalidConfig(f"sample_rate_hz must be positive and finite, got {rate}")
 
 
 def validate_waveform(w: Waveform) -> None:
@@ -108,14 +146,61 @@ def validate_waveform(w: Waveform) -> None:
         arr = getattr(w, name)
         if arr is not None and len(arr) != n:
             raise MalformedRow(f"channel {name!r} length differs from t")
-    if not math.isfinite(w.sample_rate_hz) or w.sample_rate_hz <= 0:
-        raise InvalidConfig(f"sample_rate_hz must be positive and finite, got {w.sample_rate_hz}")
-    for name in ("t", "flow", "pressure", "volume"):
-        arr = getattr(w, name)
-        if arr is not None and not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise NonFiniteInput(f"channel {name!r} has a non-finite value at index {bad}")
-    _check_grid(w.t, w.sample_rate_hz)
+    _check_rate(w.sample_rate_hz)
+    _check_grid(w.t, w.sample_rate_hz, w.flow, w.pressure, w.volume)
+
+
+class _BlockCheck:
+    """The checks of :func:`validate_waveform` on a recording given in consecutive blocks.
+
+    :meth:`feed` takes the channels of each block, ``t`` first (a channel
+    may be None, as ``volume`` is when the recording has none), and says
+    whether the block passes; the previous block's last timestamp is carried
+    into the grid check.  :meth:`raise_first` then raises what
+    :func:`validate_waveform` raises for the whole recording at ``rate``: the
+    first non-finite value of the first channel that has one, else the first
+    step that is not forward, else the largest deviation from the spacing.
+    The grid is no longer checked once a timestamp is not finite.
+    """
+
+    def __init__(self, rate: float) -> None:
+        self._nominal = 1.0 / rate
+        self._pos = 0
+        self._last_t: float | None = None
+        self.bad: dict[str, int] = {}  # channel -> index of its first non-finite value
+        self.backward: NonMonotonicTime | None = None
+        self.dev = 0.0
+
+    def feed(self, t: np.ndarray, *channels: np.ndarray | None) -> bool:
+        start, self._pos = self._pos, self._pos + len(t)
+        for name, arr in zip(_CHANNELS, (t, *channels)):
+            if arr is not None and name not in self.bad and not np.isfinite(arr).all():
+                self.bad[name] = start + int(np.flatnonzero(~np.isfinite(arr))[0])
+        if "t" in self.bad:
+            return False
+        last, self._last_t = self._last_t, float(t[-1])
+        dt = np.diff(t)
+        if last is not None and self.backward is None and not float(t[0]) - last > 0:
+            self.backward = _backward(start, last, t[0])
+        if self.backward is None and not (dt > 0).all():
+            bad = int(np.flatnonzero(dt <= 0)[0])
+            self.backward = _backward(start + bad + 1, t[bad], t[bad + 1])
+        if self.backward is not None:
+            return False
+        if len(dt):
+            self.dev = max(self.dev, float(np.abs(dt - self._nominal).max()))
+        if last is not None:
+            self.dev = max(self.dev, abs(float(t[0]) - last - self._nominal))
+        return not self.bad and self.dev <= SPACING_RTOL * self._nominal
+
+    def raise_first(self, grid_only: bool = False) -> None:
+        for name in () if grid_only else _CHANNELS:
+            if name in self.bad:
+                raise _non_finite(name, self.bad[name])
+        if self.backward is not None:
+            raise self.backward
+        if self.dev > SPACING_RTOL * self._nominal:
+            raise _uneven(self._nominal, self.dev)
 
 
 def _infer_rate(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
@@ -130,14 +215,21 @@ def _infer_rate(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
         raise EmptyInput("no timestamps")
     if expected_rate_hz is not None:
         return float(expected_rate_hz)
-    if len(t) == 1:
-        raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
-    span = float(t[-1] - t[0])
-    # a span <= 0 fails the monotonicity check whatever the rate
-    rate = (len(t) - 1) / span if span > 0 else 1.0
+    rate = _span_rate(len(t), t[0], t[-1])
     if rate == math.inf:
         _check_grid(t, rate)
-    if round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
+    return rate
+
+
+def _span_rate(count: int, first: float, last: float) -> float:
+    """The rate :func:`check_time_grid` infers for ``count`` timestamps from
+    ``first`` to ``last``; inf for a span too short to have one."""
+    if count == 1:
+        raise InvalidConfig("cannot infer sample rate from a single row; pass expected_rate_hz")
+    span = float(last) - float(first)
+    # a span <= 0 fails the monotonicity check whatever the rate
+    rate = (count - 1) / span if span > 0 else 1.0
+    if rate != math.inf and round(rate) > 0 and abs(rate - round(rate)) <= SPACING_RTOL * rate:
         rate = float(round(rate))
     return rate
 
@@ -349,13 +441,14 @@ def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
     return r
 
 
-def _write_rows(stream: IO[str], header: tuple[str, ...], columns) -> None:
-    """Write ``header`` and the parallel ``columns`` as CSV rows (LF line endings).
+def _write_rows(stream: IO[str], header: tuple[str, ...] | None, columns) -> None:
+    """Write ``header`` (unless None) and the parallel ``columns`` as CSV rows (LF line endings).
 
     Each chunk of rows is formatted by one ``%`` over its flattened values,
     which gives the same text as :func:`format_value` on each value.
     """
-    stream.write(",".join(header) + "\n")
+    if header is not None:
+        stream.write(",".join(header) + "\n")
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _ROWS_PER_CHUNK):

@@ -50,9 +50,9 @@ _PIECES = [b",", b"\n", b"\r", b"#", b" ", b"\t", b"\x00", b"\xff", b"\xc3", b"\
 
 
 @st.composite
-def _edited(draw):
+def _edited(draw, texts=_CANONICAL):
     """A canonical text cut short, or with a few spans replaced by pieces or bytes."""
-    data = draw(st.sampled_from(_CANONICAL))
+    data = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
         cut = draw(st.integers(0, 12))

@@ -1,17 +1,23 @@
 import io
 import json
+import os
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holdscan import (
     DetectionConfig,
     HoldscanError,
+    InvalidRange,
     MockConfig,
+    NonFiniteInput,
     ModelParams,
     ScoreTrace,
+    Waveform,
     detect_holds,
     generate_mock_waveform,
     load_score_trace_csv,
@@ -20,9 +26,10 @@ from holdscan import (
     segment_record,
     summarize_segment,
 )
-from holdscan.cli import _stage_read_back, run
-from holdscan.mechanics import HEURISTICS_NOTE
-from holdscan.mockgen import _BLOCK
+from holdscan.cli import run
+from holdscan.stream import _HoldReports, _read_back_blocks, _stage_blocks
+from holdscan.mechanics import HEURISTICS_NOTE, report_hold
+from holdscan.mockgen import _BLOCK, _sample_count
 from holdscan.waveform import _build_waveform, _read_back
 
 
@@ -448,6 +455,7 @@ class TestPipeline:
         # the read-back values are computed; no CSV is written or parsed
         fail = mock.Mock(side_effect=AssertionError("CSV text in pipeline"))
         with mock.patch("holdscan.waveform._write_rows", fail), \
+                mock.patch("holdscan.stream._write_rows", fail), \
                 mock.patch("holdscan.waveform._read_table", fail), \
                 mock.patch("holdscan.scoring._write_rows", fail), \
                 mock.patch("holdscan.scoring._read_table", fail):
@@ -465,6 +473,27 @@ class TestPipeline:
         starts = [json.loads(line)["start_index"] for line in manual[0].splitlines()]
         assert {_BLOCK - 250, 2 * _BLOCK - 125} <= set(starts)
         assert self.save_all(tmp_path, gen) == manual
+
+    def test_merge_across_block_edge_matches_stages(self, tmp_path):
+        # the first block ends at 163.84 s: two holds 0.05 s apart on either
+        # side of it merge, and the lookback of the hold at 167 s crosses it
+        edge = _BLOCK / 100.0
+        gen = ["--seed", "13", "--duration-s", "400", "--hold", f"{edge - 1.84!r}:1.82",
+               "--hold", f"{edge + 0.03!r}:1.5", "--hold", "167:2", "--hold", "330:2"]
+        manual = self.manual_composition(tmp_path, gen_args=gen)
+        spans = [(r["start_index"], r["end_index"])
+                 for r in map(json.loads, manual[3].splitlines())]
+        assert spans[0][0] < _BLOCK < spans[0][1] and spans[1][0] - 500 < _BLOCK
+        assert self.save_all(tmp_path, gen) == manual
+
+    def test_saves_to_stdout_in_order(self, tmp_path):
+        gen = ["--seed", "7", "--duration-s", "200", "--hold", "150:2"]
+        report, wave, trace, segs = self.manual_composition(tmp_path, gen_args=gen)
+        code, out, err = run_cli(["pipeline", *gen, "--ground-truth", "-", "--save-waveform", "-",
+                                  "--save-trace", "-", "--save-segments", "-"])
+        assert (code, err) == (0, "")
+        truth = '{"start_s": 150.0, "end_s": 152.0}\n'
+        assert out == truth + wave + trace + segs + report
 
     def test_report_record_shape(self):
         code, out, _ = run_cli(["pipeline", "--seed", "7"])
@@ -501,6 +530,19 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def read_back_pass(cfg, params):
+    """pipeline's read-back blocks joined, as the waveform and trace of the stages."""
+    blocks = [[c.copy() for c in read] for _, _, read in _read_back_blocks(cfg, params, _sample_count(cfg))]
+    t, flow, pressure, volume, scores = (np.concatenate(c) for c in zip(*blocks))
+    w = _build_waveform(t, flow, pressure, volume)
+    return w, ScoreTrace(log_scores=scores, sample_rate_hz=w.sample_rate_hz)
+
+
+def block_pass(cfg, params):
+    """pipeline's pass over the blocks, up to its report text."""
+    return _stage_blocks(cfg, params, DetectionConfig(), None)
+
+
 class TestReadBackPass:
     """pipeline's block pass against the whole recording read back after it is generated."""
 
@@ -515,7 +557,7 @@ class TestReadBackPass:
          ModelParams(mu_pressure=14.0)),
     ])
     def test_bit_identical(self, cfg, params):
-        w, trace = _stage_read_back(cfg, params)
+        w, trace = read_back_pass(cfg, params)
         ref_w, ref_trace = read_back_stages(cfg, params)
         for name in ("t", "flow", "pressure", "volume"):
             assert getattr(w, name).tobytes() == getattr(ref_w, name).tobytes()
@@ -534,7 +576,7 @@ class TestReadBackPass:
     def test_same_error(self, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = _outcome(_stage_read_back, cfg, ModelParams())
+            got = _outcome(block_pass, cfg, ModelParams())
             want = _outcome(read_back_stages, cfg, ModelParams())
         assert isinstance(want, tuple) and issubclass(want[0], HoldscanError)
         assert got == want
@@ -547,6 +589,209 @@ class TestReadBackPass:
             assert run_cli(["generate", *argv])[0] == 1
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == "error: channel 'flow' has a non-finite value at index 0"
+
+
+@st.composite
+def _reported_recordings(draw):
+    """A short recording whose holds start near its beginning, where the
+    lookback is clipped, and anywhere else; cut into random blocks."""
+    size = draw(st.sampled_from([1, 7, 100, 1000, None]))
+    rate = 100.0 if size == 1 else draw(st.sampled_from([100.0, 250.0, 7.3]))
+    duration = draw(st.integers(15, 25 if size == 1 else 60))
+    first = draw(st.floats(0.0, 6.0).map(lambda v: round(v, 2)))
+    holds = [(first, 1.5)]
+    start = first + 1.5 + draw(st.floats(0.1, 8.0).map(lambda v: round(v, 2)))
+    while start + 2.0 < duration:
+        holds.append((start, 2.0))
+        start += 2.0 + draw(st.floats(0.05, 12.0).map(lambda v: round(v, 2)))
+    cfg = MockConfig(duration_s=float(duration), sample_rate_hz=rate, holds=tuple(holds),
+                     rng_seed=draw(st.integers(0, 2**64)))
+    n = _sample_count(cfg)
+    size = size or n
+    edges = sorted(set(range(size, n, size)) | set(draw(st.lists(st.integers(1, n - 1), max_size=4))))
+    config = DetectionConfig(min_duration_s=draw(st.sampled_from([0.0, 0.3])),
+                             merge_gap_s=draw(st.sampled_from([0.1, 0.5, 3.0])))
+    return cfg, edges, config, draw(st.sampled_from([None, 5.0]))
+
+
+class TestHoldReports:
+    """pipeline's windowed reports against report_hold on the whole recording."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_reported_recordings())
+    def test_matches_whole_recording(self, case):
+        cfg, edges, config, peep = case
+        w, _ = generate_mock_waveform(cfg)
+        trace = score_series(w)
+        records = [segment_record(summarize_segment(w, s)) for s in detect_holds(trace, config)]
+        channels = (w.t, w.flow, w.pressure, w.volume, trace.log_scores)
+
+        saved = io.StringIO()
+        reports = _HoldReports(config, w.sample_rate_hz, peep, saved)
+        for lo, hi in zip([0, *edges], [*edges, len(w)]):
+            reports.feed([c[lo:hi] for c in channels])
+        got = reports.finish()
+        assert saved.getvalue() == "".join(json.dumps(r) + "\n" for r in records)
+        assert got == "".join(json.dumps(report_hold(w, r, peep)) + "\n" for r in records)
+
+    def test_window_must_hold_the_lookback(self):
+        w, _ = generate_mock_waveform(MockConfig(rng_seed=3, duration_s=20.0, holds=((10.0, 2.0),)))
+        (record,) = [segment_record(summarize_segment(w, s)) for s in detect_holds(score_series(w))]
+        lo = record["start_index"] - 500
+        window = Waveform(t=w.t[lo + 1 :], flow=w.flow[lo + 1 :], pressure=w.pressure[lo + 1 :],
+                          sample_rate_hz=w.sample_rate_hz, volume=w.volume[lo + 1 :])
+        with pytest.raises(InvalidRange, match="miss the 5.0 s lookback"):
+            report_hold(window, record, offset=lo + 1)
+        window = Waveform(t=w.t[lo:], flow=w.flow[lo:], pressure=w.pressure[lo:],
+                          sample_rate_hz=w.sample_rate_hz, volume=w.volume[lo:])
+        assert report_hold(window, record, offset=lo) == report_hold(w, record)
+
+
+FAILING_ARGV = [
+    ["--seed", "9", "--duration-s", "0.001", "--hold", "0:0.001"],  # no samples
+    ["--seed", "9", "--duration-s", "0.01", "--hold", "0:0.01"],  # one sample
+    ["--seed", "7", "--duration-s", "0.01", "--hold", "0:0.01", "--noise-sd-flow", "1.7e308"],
+    ["--seed", "9", "--duration-s", "30", "--hold", "0:1", "--noise-sd-flow", "1e308"],
+    ["--seed", "4", "--duration-s", "300", "--sample-rate-hz", "7.3", "--hold", "100:3"],
+]
+
+
+class TestSaveFiles:
+    """--save-* text is staged while pipeline runs, and written out only when it succeeds."""
+
+    @staticmethod
+    def saves(tmp_path):
+        return ["--save-waveform", str(tmp_path / "w.csv"), "--save-trace", str(tmp_path / "t.csv"),
+                "--save-segments", str(tmp_path / "s.ndjson"), "-o", str(tmp_path / "r.ndjson")]
+
+    @pytest.mark.parametrize("argv", FAILING_ARGV)
+    def test_failure_leaves_no_file(self, tmp_path, argv):
+        assert_clean_failure(["pipeline", *argv, *self.saves(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_after_written_blocks_leaves_no_file(self, tmp_path):
+        calls = []
+
+        def fail_third_block(log_scores):
+            calls.append(len(log_scores))
+            if len(calls) == 3:
+                raise NonFiniteInput("log_scores entries must be finite or -inf")
+
+        argv = ["pipeline", "--seed", "7", "--duration-s", "600", "--hold", "300:2", *self.saves(tmp_path)]
+        with mock.patch("holdscan.stream._check_log_scores", fail_third_block):
+            code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == "error: log_scores entries must be finite or -inf\n"
+        assert list(tmp_path.iterdir()) == []
+        # the temporary files had been written before the error
+        assert run_cli(argv) == (0, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ndjson", "s.ndjson", "t.csv", "w.csv"]
+
+    def test_missing_directory(self, tmp_path):
+        target = tmp_path / "no" / "w.csv"
+        code, out, err = run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_text("old\n")
+        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])[0] == 0
+        assert target.read_text() == run_cli(["generate", "--seed", "7"])[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+    def test_device_is_written_in_place(self):
+        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", os.devnull])[0] == 0
+        assert not os.path.isfile(os.devnull)
+
+    def test_failure_leaves_existing_file(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_text("old\n")
+        assert_clean_failure(["pipeline", *FAILING_ARGV[0], "--save-waveform", str(target)])
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(tmp_path / "link.csv")])[0] == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "real.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+
+    def test_mode_and_links_kept(self, tmp_path):
+        target = tmp_path / "w.csv"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        os.link(target, tmp_path / "other.csv")
+        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])[0] == 0
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert (tmp_path / "other.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+
+
+class TestPeep:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("hold", ["0:2", "10:0.1"])  # the second gives no segment
+    def test_pipeline_rejects_non_finite_peep(self, value, hold):
+        assert_clean_failure(["pipeline", "--seed", "3", "--duration-s", "30", "--hold", hold,
+                              f"--peep={value}"])
+
+    def test_report_rejects_non_finite_peep(self, tmp_path):
+        wave = tmp_path / "w.csv"
+        wave.write_text(VALID_WAVE)
+        segs = tmp_path / "s.ndjson"
+        segs.write_text("")  # no records: the flag is checked all the same
+        assert_clean_failure(["report", str(wave), "--segments", str(segs), "--peep", "nan"])
+
+
+class TestNumericValues:
+    """Values that are no float, or that no float holds, end in one error line."""
+
+    @pytest.mark.parametrize("line", ['duration_s = "abc"', f"duration_s = {'9' * 400}",
+                                      "sample_rate_hz = 1j", "holds = ((1e999, 1),)",
+                                      f"holds = (({'1' * 400}, 1),)", "rng_seed = {[]: 1}"])
+    def test_config_file(self, tmp_path, line):
+        config = tmp_path / "c.txt"
+        config.write_text(f"rng_seed = 3\n{line}\n")
+        assert_clean_failure(["generate", "--config", str(config)])
+
+    def test_config_file_not_utf8(self, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_bytes(b"rng_seed = 3\xff\n")
+        assert_clean_failure(["generate", "--config", str(config)])
+
+    @pytest.mark.parametrize("argv", [["--duration-s", "1e308", "--sample-rate-hz", "10"],
+                                      ["--duration-s", "1e15"]])
+    def test_recording_above_the_ceiling(self, argv):
+        for command in ("generate", "pipeline"):
+            assert_clean_failure([command, "--seed", "1", *argv, "--hold", "0:1"])
+
+    @pytest.mark.parametrize("cls, name", [(ModelParams, "var_flow"), (ModelParams, "mu_pressure"),
+                                           (DetectionConfig, "log_threshold_on"),
+                                           (DetectionConfig, "merge_gap_s")])
+    @pytest.mark.parametrize("value", ["abc", None, 10**400])
+    def test_library_configs(self, cls, name, value):
+        with pytest.raises(HoldscanError, match=name):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("flag", ["--peak-pressure-cmh2o=1e308", "--i-to-e-ratio=1e-308",
+                                      "--i-to-e-ratio=1e308", "--mu-flow=-1e308"])
+    def test_edge_values_run_without_warnings(self, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(["pipeline", "--seed", "9", "--duration-s", "30",
+                                    "--hold", "10:2", flag])
+        assert (code, err) == (0, "")
+
+    def test_infinite_variance_ends_in_one_error_line(self, tmp_path):
+        # a squared deviation over a doubled variance that both overflow is nan
+        wave = tmp_path / "w.csv"
+        wave.write_text(VALID_WAVE)
+        assert_clean_failure(["score", str(wave), "--mu-flow=-1e308", "--var-flow=1e308"])
+
+    def test_overflowing_noise_ends_in_one_error_line(self):
+        assert_clean_failure(["pipeline", "--seed", "9", "--duration-s", "30", "--hold", "0:1",
+                              "--noise-sd-flow", "1e308"])
 
 
 class TestNoiseFree:

@@ -25,7 +25,7 @@ from holdscan import (
     summarize_segment,
     write_segments_ndjson,
 )
-from holdscan.detection import SEGMENT_RECORD_KEYS, _window_mean
+from holdscan.detection import SEGMENT_RECORD_KEYS, _hold_segment, _HoldScan, _window_mean
 
 RATE = 100.0
 
@@ -144,6 +144,63 @@ class TestAgainstLoop:
             scores[rng.random(2000) < 0.05] = -np.inf
             trace = trace_of(scores)
             assert _as_rows(detect_holds(trace)) == _as_rows(detect_holds_loop(trace))
+
+
+@st.composite
+def _block_edges(draw, n):
+    """Cut points of ``[0, n)`` into blocks: every sample its own block, or
+    random cuts, empty blocks included."""
+    if n and draw(st.booleans()):
+        return list(range(1, n))
+    return sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+
+
+def scan_in_blocks(trace, cfg, edges):
+    """detect_holds with the trace fed to the resumable scan in blocks cut at ``edges``."""
+    ls, rate = trace.log_scores, trace.sample_rate_hz
+    scan = _HoldScan(cfg, rate)
+    runs = []
+    for lo, hi in zip([0, *edges], [*edges, len(ls)]):
+        runs += scan.feed(ls[lo:hi])
+        # nothing before what it keeps can belong to a run still to come
+        assert scan.keep_from <= hi
+        assert all(b <= scan.keep_from for _, b in runs)
+    runs += scan.finish()
+    return [_hold_segment(a, b, ls[a:b], rate) for a, b in runs]
+
+
+class TestScanInBlocks:
+    """The resumable scan over any cut into blocks gives the segments of the whole trace."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), case=_detection_cases())
+    def test_matches_whole_trace_and_loop(self, data, case):
+        trace, cfg = case
+        edges = data.draw(_block_edges(len(trace)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            segs = scan_in_blocks(trace, cfg, edges)
+        assert _as_rows(segs) == _as_rows(detect_holds(trace, cfg))
+        assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
+
+    def test_merge_across_block_edges(self):
+        # runs 5 samples apart merge under a 0.1 s gap, whichever block they fall in
+        scores = np.full(200, -50.0)
+        scores[50:80] = scores[85:120] = -2.0
+        trace, cfg = trace_of(scores), DetectionConfig()
+        for edges in ([82], [80], [85], [60, 83, 100], list(range(1, 200))):
+            segs = scan_in_blocks(trace, cfg, edges)
+            assert [(s.start_index, s.end_index) for s in segs] == [(50, 120)]
+
+    def test_pending_run_is_final_once_the_gap_has_passed(self):
+        scores = np.full(100, -50.0)
+        scores[10:50] = -2.0
+        scan = _HoldScan(DetectionConfig(), RATE)
+        assert scan.feed(scores[:55]) == []  # 5 samples past the run: a run may still merge
+        assert scan.keep_from == 10
+        assert scan.feed(scores[55:60]) == [(10, 50)]  # 10 samples: it may not
+        assert scan.keep_from == 60
+        assert scan.finish() == []
 
 
 class TestWindowMean:
@@ -460,6 +517,22 @@ class TestNdjson:
         assert "-Infinity" in line
         got = read_segments_ndjson(line + "\n")
         assert got[0]["mean_log_score"] == float("-inf")
+
+    @pytest.mark.parametrize("key", ["start_s", "end_s", "mean_pressure", "mean_flow"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, key, text):
+        line = self.second_line_with(0, 5).replace(f'"{key}": 1.0', f'"{key}": {text}')
+        assert text in line
+        with pytest.raises(MalformedRow, match=f"^line 1: {key} must be finite"):
+            read_segments_ndjson(line)
+
+    @pytest.mark.parametrize("key", ["peak_log_score", "mean_log_score"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e999"])
+    def test_log_score_finite_or_minus_infinity(self, key, text):
+        line = self.second_line_with(0, 5)
+        assert read_segments_ndjson(line.replace(f'"{key}": 1.0', f'"{key}": -Infinity', 1))
+        with pytest.raises(MalformedRow, match=f"^line 1: {key} must be finite or -inf"):
+            read_segments_ndjson(line.replace(f'"{key}": 1.0', f'"{key}": {text}', 1))
 
     def test_empty_input(self):
         assert read_segments_ndjson("") == []

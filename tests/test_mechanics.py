@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,43 @@ class TestReportHold:
         record = self.record | {"end_index": len(self.w) + 1}
         with pytest.raises(InvalidRange, match="exceeds waveform length"):
             report_hold(self.w, record)
+
+    @pytest.mark.parametrize("peep", [math.nan, math.inf, -math.inf, "5", 10**400])
+    def test_peep_must_be_finite(self, peep):
+        with pytest.raises(InvalidConfig, match="peep"):
+            report_hold(self.w, self.record, peep)
+
+    def test_plateau_is_the_mean_pressure_of_the_hold(self):
+        # a record edited by hand does not set the plateau; the waveform does
+        for mean_pressure in (99.0, math.nan):
+            rec = report_hold(self.w, self.record | {"mean_pressure": mean_pressure})
+            assert rec == report_hold(self.w, self.record)
+
+
+class TestReportAtTheFloatEdge:
+    """Inputs whose sums and differences leave the float range give strict JSON and no warning."""
+
+    def test_values_near_the_float_maximum(self):
+        rate, big = 100.0, 1.7e308
+        n = 1000
+        pressure = np.full(n, big)  # the hold at 600: its sum overflows, its mean does not
+        # the 10th percentile of the lookback lies between -big and big
+        pressure[100:151] = -big
+        flow = np.ones(n)
+        flow[600:800] = 0.0
+        volume = np.where(np.arange(n) % 2, -big, big)  # rises by 2 * big to the hold
+        w = make_waveform(flow, pressure, rate=rate, volume=volume)
+        record = {"start_s": 6.0, "end_s": 8.0, "start_index": 600, "end_index": 800,
+                  "peak_log_score": -1.0, "mean_log_score": -1.0, "mean_pressure": 0.0,
+                  "mean_flow": 0.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = report_hold(w, record)
+        json.loads(json.dumps(rec), parse_constant=pytest.fail)
+        assert rec["plateau_pressure_cmh2o"] == big
+        assert math.isfinite(rec["peep_cmh2o"]) and -big <= rec["peep_cmh2o"] <= big
+        assert "float range" in rec["unavailable"]["tidal_volume_l"]
+        assert "compliance_l_per_cmh2o" not in rec
 
 
 class SingleCompartmentSim:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,13 +11,22 @@ from holdscan import (
     DetectionConfig,
     InvalidConfig,
     MockConfig,
+    NonFiniteInput,
     Waveform,
     detect_holds,
     generate_mock_waveform,
     integrate_volume,
     score_series,
 )
-from holdscan.mockgen import DECAY_RATE, _BLOCK, _blocks, _hold_mask, _splitmix64, _standard_normals
+from holdscan.mockgen import (
+    _BLOCK,
+    DECAY_RATE,
+    MAX_SAMPLES,
+    _blocks,
+    _hold_mask,
+    _splitmix64,
+    _standard_normals,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -376,6 +386,54 @@ class TestConfigValidation:
 
     def test_zero_noise_allowed(self):
         MockConfig(noise_sd_flow=0.0, noise_sd_pressure=0.0)
+
+    # only counts above the ceiling: each is rejected before anything is allocated
+    @pytest.mark.parametrize("duration, rate", [
+        (1e308, 10.0),  # the product is not finite
+        (1e15, 250.0),
+        ((MAX_SAMPLES + 1) / 250.0, 250.0),
+        (2.0**40, 1.0),
+    ])
+    def test_sample_ceiling(self, duration, rate):
+        with pytest.raises(InvalidConfig, match=f"more than {MAX_SAMPLES} samples"):
+            MockConfig(duration_s=duration, sample_rate_hz=rate, holds=())
+
+    @pytest.mark.parametrize("name", ["duration_s", "sample_rate_hz", "i_to_e_ratio", "noise_sd_flow"])
+    @pytest.mark.parametrize("value", ["abc", None, 1j, [1.0], 10**400, -(10**400)])
+    def test_value_that_is_no_float(self, name, value):
+        with pytest.raises(InvalidConfig, match=name):
+            MockConfig(**{name: value})
+
+    @pytest.mark.parametrize("hold", [(10**400, 1.0), (1.0, 10**400), ("a", 1.0)])
+    def test_hold_that_is_no_float(self, hold):
+        with pytest.raises(InvalidConfig, match="holds must be"):
+            MockConfig(holds=(hold,))
+
+    def test_integer_values_allowed(self):
+        assert MockConfig(duration_s=10**2, sample_rate_hz=10, holds=((1, 2),)).duration_s == 100
+
+
+class TestNoWarnings:
+    """Values at the edge of the float range give no numpy warning; one that
+    leaves it ends in the recording's own error."""
+
+    @pytest.mark.parametrize("changes", [
+        {"peak_pressure_cmh2o": 1e308},
+        {"i_to_e_ratio": 1e-308},
+        {"i_to_e_ratio": 1e308},
+        {"peak_flow_lpm": 1e308},
+        {"noise_sd_flow": 1e308},
+        {"respiratory_rate_bpm": 5e-324},
+    ])
+    def test_blocks_are_silent(self, changes):
+        cfg = MockConfig(duration_s=30.0, holds=((10.0, 2.0),), rng_seed=9, **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(_blocks(cfg, 3000, 1000))
+            try:
+                generate_mock_waveform(cfg)
+            except NonFiniteInput:
+                assert not all(np.isfinite(c).all() for b in blocks for c in b[1:])
 
 
 class TestSeparation:

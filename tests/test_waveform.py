@@ -27,7 +27,13 @@ from holdscan import (
     write_score_trace_csv,
 )
 from holdscan.mockgen import _BLOCK
-from holdscan.waveform import _check_grid, _read_back, check_time_grid, format_value
+from holdscan.waveform import (
+    _BlockCheck,
+    _check_grid,
+    _read_back,
+    check_time_grid,
+    format_value,
+)
 
 CSV_3ROWS = "t,flow,pressure\n0.00,10.0,5.0\n0.01,20.0,6.0\n0.02,30.0,7.0\n"
 
@@ -188,6 +194,83 @@ class TestValidate:
             w.flow[0] = 99.0
 
 
+@st.composite
+def _recordings_in_blocks(draw):
+    """Channels on a grid with a few samples moved or made non-finite, and cut points."""
+    n = draw(st.integers(1, 60))
+    rate = draw(st.sampled_from([100.0, 7.3]))
+    channels = [np.arange(n) / rate] + [np.linspace(-1.0, 1.0, n) for _ in range(3)]
+    for _ in range(draw(st.integers(0, 3))):
+        k, i = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+        channels[k][i] = draw(st.sampled_from([np.nan, np.inf, -np.inf, channels[0][i] + 1e-9,
+                                               channels[0][i] - 1.0 / rate, 0.0]))
+    edges = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5)))
+    return channels, rate, edges
+
+
+def _first_error(check):
+    try:
+        check()
+    except HoldscanError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_check(channels, rate):
+    """The checks of a whole recording written out: finite channels, then the grid."""
+    for name, arr in zip(("t", "flow", "pressure", "volume"), channels):
+        if not np.all(np.isfinite(arr)):
+            i = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise NonFiniteInput(f"channel {name!r} has a non-finite value at index {i}")
+    t = channels[0]
+    for i in range(1, len(t)):
+        if not t[i] > t[i - 1]:
+            raise NonMonotonicTime(f"timestamps not strictly increasing at index {i} "
+                                   f"(t={float(t[i - 1])!r} then t={float(t[i])!r})")
+    nominal = 1.0 / rate
+    dev = max((abs(float(b - a) - nominal) for a, b in zip(t, t[1:])), default=0.0)
+    if dev > 1e-6 * nominal:
+        raise NonUniformSampling(f"timestamp spacing deviates from {nominal} s by {dev} "
+                                 f"(allowed {1e-6 * nominal})")
+
+
+class TestBlockCheck:
+    """validate_waveform's checks over blocks, the last timestamp carried, against the whole."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_recordings_in_blocks())
+    def test_same_error_as_whole_recording(self, case):
+        channels, rate, edges = case
+        want = _first_error(lambda: _reference_check(channels, rate))
+        w = Waveform.__new__(Waveform)  # unchecked, to be checked here
+        for name, arr in zip(("t", "flow", "pressure", "volume"), channels):
+            object.__setattr__(w, name, arr)
+        object.__setattr__(w, "sample_rate_hz", rate)
+        assert _first_error(lambda: validate_waveform(w)) == want
+        check = _BlockCheck(rate)
+        passed = [check.feed(*(c[lo:hi] for c in channels))
+                  for lo, hi in zip([0, *edges], [*edges, len(channels[0])]) if hi > lo]
+        assert _first_error(check.raise_first) == want
+        assert all(passed) == (want is None)
+
+    def test_without_volume(self):
+        t = np.arange(5) / 100.0
+        validate_waveform(make_waveform(t, t))
+        flow = t.copy()
+        flow[3] = np.nan
+        with pytest.raises(NonFiniteInput, match="'flow' has a non-finite value at index 3$"):
+            validate_waveform(Waveform._checked(t, flow, t, 100.0))
+
+    def test_backward_step_at_a_block_edge(self):
+        t = np.arange(10) / 100.0
+        t[5] = t[4]
+        check = _BlockCheck(100.0)
+        assert check.feed(t[:5], t[:5], t[:5], t[:5])
+        assert not check.feed(t[5:], t[5:], t[5:], t[5:])
+        with pytest.raises(NonMonotonicTime, match="at index 5 "):
+            check.raise_first()
+
+
 class TestTimeGrid:
     def test_snaps_to_integer_rate(self):
         # a 100 Hz grid that went through 9-digit serialization
@@ -203,6 +286,13 @@ class TestTimeGrid:
     def test_offset_grid(self):
         t = 120.0 + np.arange(50) / 250.0
         assert check_time_grid(t) == 250.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_timestamp(self, bad):
+        t = np.arange(5) / 100.0
+        t[2] = bad
+        with pytest.raises(NonFiniteInput, match="'t' has a non-finite value at index 2$"):
+            check_time_grid(t, 100.0)
 
 
 # values in a physiological-to-extreme range; 9 significant digits quantize
