@@ -16,13 +16,18 @@ The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
 else, which also produces the per-line error messages.
 
-Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error.
+The parser is built once per process, on the first :func:`run`.
+
+Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error; each
+error is one ``error:`` line on the ``stderr`` given to :func:`run`, argparse's
+own included.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import io
 import json
 import shutil
@@ -55,7 +60,14 @@ _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
 
 class _UsageError(Exception):
-    """Command-line misuse that argparse cannot catch itself."""
+    """Command-line misuse, argparse's own included."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors :func:`run` reports as one line."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +365,9 @@ def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holdscan",
         description="Detect inspiratory holds in ventilator waveforms and "
         "estimate respiratory mechanics.",
@@ -429,13 +442,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, printed to sys.stdout
+            return 2 if exc.code else 0
         return ns.handler(ns, stdin, stdout, stderr)
     except HoldscanError as exc:
         print(f"error: {exc}", file=stderr)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfig, MalformedRow, _real
 from .scoring import ScoreTrace
-from .waveform import Waveform, _check_span, _decode_lines
+from .waveform import Waveform, _check_span, _source_text
 
 # Keys of one exported segment record, in canonical output order.
 SEGMENT_RECORD_KEYS = (
@@ -253,7 +253,7 @@ def write_segments_ndjson(records: Iterable[Mapping], stream: IO[str]) -> None:
 def read_segments_ndjson(source) -> list[dict]:
     """Parse segment records, validating keys and types; returns plain dicts."""
     records: list[dict] = []
-    for lineno, raw in enumerate(_decode_lines(source), start=1):
+    for lineno, raw in enumerate(_source_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -23,7 +23,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -132,9 +132,12 @@ def _check_span(w: Waveform, start: int, end: int, offset: int = 0) -> None:
         raise InvalidRange(f"segment [{start}, {end}) exceeds waveform {held}")
 
 
-def _check_rate(rate: float) -> None:
-    if not math.isfinite(rate) or rate <= 0:
-        raise InvalidConfig(f"sample_rate_hz must be positive and finite, got {rate}")
+def _check_rate(rate: float, name: str = "sample_rate_hz") -> None:
+    # a rate whose spacing 1 / rate overflows would pass any grid
+    if not (0 < rate < math.inf and 1 / float(rate) < math.inf):
+        raise InvalidConfig(
+            f"{name} must be positive and finite, with a finite spacing 1 / rate, got {rate}"
+        )
 
 
 def validate_waveform(w: Waveform) -> None:
@@ -209,8 +212,8 @@ def _infer_rate(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
     The grid itself is checked only where the inferred rate is infinite,
     which no grid passes.
     """
-    if expected_rate_hz is not None and not 0 < expected_rate_hz < math.inf:
-        raise InvalidConfig(f"expected_rate_hz must be positive, got {expected_rate_hz}")
+    if expected_rate_hz is not None:
+        _check_rate(expected_rate_hz, "expected_rate_hz")
     if len(t) == 0:
         raise EmptyInput("no timestamps")
     if expected_rate_hz is not None:
@@ -258,22 +261,17 @@ def _build_waveform(t, flow, pressure, volume=None, expected_rate_hz=None) -> Wa
                     sample_rate_hz=_infer_rate(t, expected_rate_hz), volume=volume)
 
 
-def _source_text(source: IO | Iterable[str] | bytes | str) -> str | None:
-    """The whole text of a str, bytes or file source; None for an iterable of lines."""
+def _source_text(source: IO | bytes | str) -> str:
+    """The whole text of a str, bytes or readable stream source."""
     try:
         data = source.read() if hasattr(source, "read") else source
         if isinstance(data, bytes):
             data = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"input is not UTF-8 text: {exc}") from None
-    return data if isinstance(data, str) else None
-
-
-def _decode_lines(source: IO | Iterable[str] | bytes | str) -> list[str]:
-    text = _source_text(source)
-    if text is None:
-        return [line.rstrip("\r\n") for line in source]
-    return text.splitlines()
+    if not isinstance(data, str):
+        raise MalformedRow(f"input must be text, bytes or a stream, not {type(source).__name__}")
+    return data
 
 
 def _parse_lines(lines: list[str], headers, row_problem):
@@ -352,19 +350,12 @@ def _fast_table(text: str, headers):
 def _read_table(source, headers, row_problem):
     """``(header, rows)`` of a CSV source, the one reader of both CSV formats.
 
-    Canonical text goes through :func:`_fast_table`; everything else, and an
-    iterable of lines, through :func:`_parse_lines` (same arguments), which
-    gives the same values and raises the per-line errors.
+    Canonical text goes through :func:`_fast_table`; everything else through
+    :func:`_parse_lines` (same arguments), which gives the same values and
+    raises the per-line errors.
     """
     text = _source_text(source)
-    if text is None:
-        lines = [line.rstrip("\r\n") for line in source]
-    else:
-        table = _fast_table(text, headers)
-        if table is not None:
-            return table
-        lines = text.splitlines()
-    return _parse_lines(lines, headers, row_problem)
+    return _fast_table(text, headers) or _parse_lines(text.splitlines(), headers, row_problem)
 
 
 def _waveform_row_problem(values: list[float]) -> str | None:

@@ -26,6 +26,7 @@ from holdscan import (
     segment_record,
     summarize_segment,
 )
+from holdscan import cli
 from holdscan.cli import run
 from holdscan.stream import _HoldReports, _read_back_blocks, _stage_blocks
 from holdscan.mechanics import HEURISTICS_NOTE, report_hold
@@ -61,21 +62,65 @@ class TestExitCodes:
         assert "error:" in err
 
     def test_unknown_flag(self):
-        code, _, _ = run_cli(["generate", "--seed", "1", "--no-such-flag"])
+        code, _, err = run_cli(["generate", "--seed", "1", "--no-such-flag"])
         assert code == 2
+        assert err == "error: holdscan: unrecognized arguments: --no-such-flag\n"
 
     def test_unknown_command(self):
-        code, _, _ = run_cli(["frobnicate"])
+        code, _, err = run_cli(["frobnicate"])
         assert code == 2
+        assert err.startswith("error: holdscan: argument command: invalid choice: 'frobnicate'")
+
+    def test_argparse_error_is_one_line_on_the_given_stream(self, capsys):
+        code, out, err = run_cli(["pipeline", "--seed", "1", "--duration-s", "abc"])
+        assert (code, out) == (2, "")
+        assert err == "error: holdscan pipeline: argument --duration-s: invalid float value: 'abc'\n"
+        assert capsys.readouterr() == ("", "")
 
     def test_missing_seed_is_usage_error(self):
         code, out, err = run_cli(["generate"])
         assert code == 2
         assert "seed" in err
 
-    def test_help_exits_zero(self):
-        code, _, _ = run_cli(["--help"])
-        assert code == 0
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run_cli(["--help"])
+        assert (code, out, err) == (0, "", "")
+        printed = capsys.readouterr()
+        assert printed.out.startswith("usage: holdscan") and printed.err == ""
+
+
+class TestParserCache:
+    """The parser is built once per process, and each parse leaves it as it was."""
+
+    ARGV = ["pipeline", "--seed", "3", "--duration-s", "60"]
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_hold_default_after_repeated_holds(self):
+        held = run_cli(self.ARGV + ["--hold", "10:2", "--hold", "30:2"])
+        default = run_cli(self.ARGV)
+        with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
+            assert run_cli(self.ARGV) == default
+        assert held[0] == default[0] == 0
+        assert [json.loads(line)["start_s"] for line in held[1].splitlines()] == [10.0, 30.0]
+        assert [json.loads(line)["start_s"] for line in default[1].splitlines()] == [45.0]
+
+    def test_error_between_calls(self):
+        before = run_cli(self.ARGV)
+        code, _, err = run_cli(self.ARGV + ["--hold", "10:2", "--duration-s", "abc"])
+        assert code == 2 and err.startswith("error: ")
+        assert run_cli(self.ARGV) == before
+
+    def test_help_follows_columns(self, capsys, monkeypatch):
+        texts = []
+        for columns in ("60", "60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run_cli(["pipeline", "--help"]) == (0, "", "")
+            texts.append(capsys.readouterr().out)
+        with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
+            run_cli(["pipeline", "--help"])
+        assert texts[0] == texts[1] != texts[2] == capsys.readouterr().out
 
 
 class TestGenerate:
@@ -788,6 +833,16 @@ class TestNumericValues:
         wave = tmp_path / "w.csv"
         wave.write_text(VALID_WAVE)
         assert_clean_failure(["score", str(wave), "--mu-flow=-1e308", "--var-flow=1e308"])
+
+    def test_rate_whose_spacing_overflows(self, tmp_path):
+        # at 5e-324 Hz the spacing 1 / rate is inf, which any grid would pass
+        wave, trace, segs = tmp_path / "w.csv", tmp_path / "t.csv", tmp_path / "s.ndjson"
+        wave.write_text("t,flow,pressure\n0,1,2\n0.5,1,2\n7,1,2\n")
+        trace.write_text("t,log_score\n0,-1\n0.5,-1\n7,-1\n")
+        segs.write_text("")
+        for argv in (["score", str(wave)], ["detect", str(trace), "--waveform", str(wave)],
+                     ["report", str(wave), "--segments", str(segs)]):
+            assert_clean_failure(argv + ["--expected-rate-hz", "5e-324"])
 
     def test_overflowing_noise_ends_in_one_error_line(self):
         assert_clean_failure(["pipeline", "--seed", "9", "--duration-s", "30", "--hold", "0:1",

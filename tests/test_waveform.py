@@ -21,6 +21,7 @@ from holdscan import (
     generate_mock_waveform,
     load_score_trace_csv,
     load_waveform_csv,
+    read_segments_ndjson,
     score_series,
     validate_waveform,
     waveform_to_csv,
@@ -116,6 +117,11 @@ class TestLoadCsv:
         for w in (w1, w2, w3):
             assert len(w) == 3
 
+    @pytest.mark.parametrize("load", [load_waveform_csv, load_score_trace_csv, read_segments_ndjson])
+    def test_list_of_lines_rejected(self, load):
+        with pytest.raises(MalformedRow, match="not list"):
+            load(CSV_3ROWS.splitlines(keepends=True))
+
     def test_single_row_needs_rate(self):
         text = "t,flow,pressure\n0.00,1.0,2.0\n"
         with pytest.raises(InvalidConfig):
@@ -133,8 +139,11 @@ class TestLoadCsv:
             load_waveform_csv(CSV_3ROWS, expected_rate_hz=200.0)
 
     def test_bad_expected_rate(self):
-        with pytest.raises(InvalidConfig):
-            load_waveform_csv(CSV_3ROWS, expected_rate_hz=-5.0)
+        for rate in (-5.0, 5e-324):
+            with pytest.raises(InvalidConfig, match="expected_rate_hz"):
+                load_waveform_csv(CSV_3ROWS, expected_rate_hz=rate)
+            with pytest.raises(InvalidConfig, match="expected_rate_hz"):
+                load_score_trace_csv("t,log_score\n0,-1\n0.5,-1\n7,-1\n", expected_rate_hz=rate)
 
 
 class TestValidate:
@@ -176,8 +185,10 @@ class TestValidate:
 
     def test_bad_rate_rejected(self):
         w = make_waveform([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(InvalidConfig):
-            Waveform(t=w.t, flow=w.flow, pressure=w.pressure, sample_rate_hz=0.0)
+        # at 5e-324 the spacing 1 / rate overflows, and inf would pass any grid
+        for rate in (0.0, 5e-324):
+            with pytest.raises(InvalidConfig):
+                Waveform(t=w.t, flow=w.flow, pressure=w.pressure, sample_rate_hz=rate)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MalformedRow):
