@@ -47,7 +47,6 @@ from .scoring import (
     ScoreTrace,
     gaussian_pdf,
     load_score_trace_csv,
-    log_gaussian_pdf,
     log_score_sample,
     score_sample,
     score_series,
@@ -96,7 +95,6 @@ __all__ = [
     "ScoreTrace",
     "gaussian_pdf",
     "load_score_trace_csv",
-    "log_gaussian_pdf",
     "log_score_sample",
     "score_sample",
     "score_series",

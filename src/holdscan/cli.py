@@ -3,7 +3,7 @@
 Each subcommand reads/writes the text formats defined by the library modules
 (waveform CSV, score CSV, segment NDJSON), with machine-readable output on
 stdout and diagnostics on stderr.  Each command parses each of its inputs
-once; the stage helpers below work on parsed objects.
+once.
 
 ``pipeline`` runs the four stages with the data flow of the separate
 commands, so its output is byte-identical to piping them by hand; its pass
@@ -48,13 +48,12 @@ from .mechanics import _check_peep, report_hold
 from .mockgen import MockConfig, _ground_truth, generate_mock_waveform
 from .scoring import (
     ModelParams,
-    ScoreTrace,
     load_score_trace_csv,
     score_series,
     write_score_trace_csv,
 )
 from .stream import _stage_blocks
-from .waveform import Waveform, load_waveform_csv, waveform_to_csv
+from .waveform import load_waveform_csv, waveform_to_csv
 
 _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
@@ -71,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages: parsed objects in, parsed objects out
+# ground truth and --save-* destinations
 
 
 def _ground_truth_text(cfg: MockConfig) -> str:
@@ -103,35 +102,6 @@ class _Save:
         else:
             with open(self.path, "w", encoding="utf-8", newline="") as fh:
                 shutil.copyfileobj(self.stream, fh)
-
-
-def _trace_text(w: Waveform, trace: ScoreTrace, linear: bool = False) -> str:
-    buf = io.StringIO()
-    write_score_trace_csv(w.t, trace, buf, linear=linear)
-    return buf.getvalue()
-
-
-def _stage_detect(trace: ScoreTrace, w: Waveform, config: DetectionConfig) -> list[dict]:
-    if len(w) != len(trace):
-        raise MalformedRow(
-            f"trace has {len(trace)} rows but waveform has {len(w)} samples"
-        )
-    if abs(w.sample_rate_hz - trace.sample_rate_hz) > 1e-6 * w.sample_rate_hz:
-        raise InvalidConfig(
-            f"trace rate {trace.sample_rate_hz} Hz does not match waveform rate "
-            f"{w.sample_rate_hz} Hz"
-        )
-    return [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)]
-
-
-def _segments_text(records: list[dict]) -> str:
-    buf = io.StringIO()
-    write_segments_ndjson(records, buf)
-    return buf.getvalue()
-
-
-def _stage_report(w: Waveform, records: list[dict], peep: float | None = None) -> str:
-    return "".join(json.dumps(report_hold(w, rec, peep)) + "\n" for rec in records)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +285,9 @@ def _cmd_generate(ns, stdin, stdout, stderr) -> int:
 def _cmd_score(ns, stdin, stdout, stderr) -> int:
     w = load_waveform_csv(_read_input(ns.waveform, stdin), ns.expected_rate_hz)
     trace = score_series(w, _model_from_ns(ns))
-    _write_output(ns.output, _trace_text(w, trace, ns.linear), stdout)
+    buf = io.StringIO()
+    write_score_trace_csv(w.t, trace, buf, linear=ns.linear)
+    _write_output(ns.output, buf.getvalue(), stdout)
     return 0
 
 
@@ -326,8 +298,21 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
     wave_text = _read_input(ns.waveform, stdin)
     _, trace = load_score_trace_csv(trace_text, ns.expected_rate_hz)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    records = _stage_detect(trace, w, _detection_from_ns(ns))
-    _write_output(ns.output, _segments_text(records), stdout)
+    config = _detection_from_ns(ns)
+    if len(w) != len(trace):
+        raise MalformedRow(
+            f"trace has {len(trace)} rows but waveform has {len(w)} samples"
+        )
+    if abs(w.sample_rate_hz - trace.sample_rate_hz) > 1e-6 * w.sample_rate_hz:
+        raise InvalidConfig(
+            f"trace rate {trace.sample_rate_hz} Hz does not match waveform rate "
+            f"{w.sample_rate_hz} Hz"
+        )
+    buf = io.StringIO()
+    write_segments_ndjson(
+        [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)], buf
+    )
+    _write_output(ns.output, buf.getvalue(), stdout)
     return 0
 
 
@@ -338,7 +323,8 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
     wave_text = _read_input(ns.waveform, stdin)
     seg_text = _read_input(ns.segments, stdin)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    out = _stage_report(w, read_segments_ndjson(seg_text), peep)
+    out = "".join(json.dumps(report_hold(w, rec, peep)) + "\n"
+                  for rec in read_segments_ndjson(seg_text))
     _write_output(ns.output, out, stdout)
     return 0
 

@@ -120,14 +120,6 @@ def gaussian_pdf(x: float, mean: float, variance: float) -> float:
     return math.exp(-(d * d) / (2.0 * variance)) / math.sqrt(_TWO_PI * variance)
 
 
-def log_gaussian_pdf(x: float, mean: float, variance: float) -> float:
-    """Log of gaussian_pdf; never underflows for finite inputs."""
-    _check_variance(variance)
-    _check_finite(x=x, mean=mean)
-    d = x - mean
-    return -0.5 * math.log(_TWO_PI * variance) - (d * d) / (2.0 * variance)
-
-
 def score_sample(flow: float, pressure: float, params: ModelParams = ModelParams()) -> float:
     """Evidence ratio q/(1-q) for one sample, q clamped to 1 - 1e-12."""
     q = gaussian_pdf(flow, params.mu_flow, params.var_flow) * gaussian_pdf(
@@ -144,11 +136,28 @@ def log_score_sample(flow: float, pressure: float, params: ModelParams = ModelPa
     ln q to full precision instead of underflowing.  Returns -inf only when
     the squared deviation itself overflows float64.
     """
-    lq = log_gaussian_pdf(flow, params.mu_flow, params.var_flow) + log_gaussian_pdf(
-        pressure, params.mu_pressure, params.var_pressure
-    )
+    lq = 0.0
+    for x, mean, variance in ((flow, params.mu_flow, params.var_flow),
+                              (pressure, params.mu_pressure, params.var_pressure)):
+        _check_variance(variance)
+        _check_finite(x=x, mean=mean)
+        d = x - mean
+        # ln N(x | mean, variance), which never underflows for finite inputs
+        lq += -0.5 * math.log(_TWO_PI * variance) - (d * d) / (2.0 * variance)
     lq = min(lq, LOG_Q_MAX)
     return lq - math.log1p(-math.exp(lq))
+
+
+def _log_density(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
+    """ln q per sample, for the caller to run under the ``np.errstate`` it needs."""
+    df = flow - params.mu_flow
+    dp = pressure - params.mu_pressure
+    return (
+        -0.5 * math.log(_TWO_PI * params.var_flow)
+        - df * df / (2.0 * params.var_flow)
+        - 0.5 * math.log(_TWO_PI * params.var_pressure)
+        - dp * dp / (2.0 * params.var_pressure)
+    )
 
 
 def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -156,14 +165,7 @@ def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParam
     # log_score_sample; one that meets an infinite variance makes it nan,
     # which the checks of a ScoreTrace reject
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        df = flow - params.mu_flow
-        dp = pressure - params.mu_pressure
-        lq = (
-            -0.5 * math.log(_TWO_PI * params.var_flow)
-            - df * df / (2.0 * params.var_flow)
-            - 0.5 * math.log(_TWO_PI * params.var_pressure)
-            - dp * dp / (2.0 * params.var_pressure)
-        )
+        lq = _log_density(flow, pressure, params)
         np.minimum(lq, LOG_Q_MAX, out=lq)
         q = np.exp(lq)
         return lq - np.log1p(-q)
@@ -190,15 +192,9 @@ def window_log_evidence(
         raise InvalidRange(
             f"window [{start_index}, {end_index_exclusive}) out of bounds for {n} samples"
         )
-    df = w.flow[start_index:end_index_exclusive] - params.mu_flow
-    dp = w.pressure[start_index:end_index_exclusive] - params.mu_pressure
+    window = slice(start_index, end_index_exclusive)
     with np.errstate(over="ignore"):
-        per_sample = (
-            -0.5 * math.log(_TWO_PI * params.var_flow)
-            - df * df / (2.0 * params.var_flow)
-            - 0.5 * math.log(_TWO_PI * params.var_pressure)
-            - dp * dp / (2.0 * params.var_pressure)
-        )
+        per_sample = _log_density(w.flow[window], w.pressure[window], params)
     # fsum over a list of floats: the same exactly rounded sum, without
     # creating a numpy scalar per element
     try:

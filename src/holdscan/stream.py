@@ -5,9 +5,13 @@ the score trace; ``pipeline`` computes the values a reader gives for that
 text in numpy (``waveform._read_back``) and writes the text only to save
 it.  :func:`_stage_blocks` takes the generator's blocks (``mockgen._blocks``)
 one at a time: each is read back, checked as ``score`` checks a whole
-recording, scored, its log-scores read back, written to the ``--save-*``
-streams and fed to a resumable hold scan (``detection._HoldScan``).  Each
-segment is reported on its own window of samples (:class:`_HoldReports`).
+recording (by ``waveform._BlockCheck``, which holds the rule for the rate
+and the order of the faults), scored, its log-scores read back, written to
+the ``--save-*`` streams and fed to a resumable hold scan
+(``detection._HoldScan``).  Each segment is reported on its own window of
+samples (:class:`_HoldReports`).  When a check fails,
+:func:`_raise_first_error` finds the error the separate commands give in
+one more pass, with one such check for ``generate`` and one for ``score``.
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
 temporaries, a ring of the last ``mechanics.VOLUME_LOOKBACK_S`` seconds of
@@ -21,7 +25,6 @@ stages ``--save-*`` text in temporary files, not in memory.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -156,13 +159,14 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     """
     n = _sample_count(cfg)
     try:
+        # the hold scan needs the rate before the first block
         rate = _pipeline_rate(cfg, n)
         _check_rate(rate)
-        checks = _BlockCheck(rate)
+        checks = _BlockCheck()
         reports = _HoldReports(config, rate, peep, save_segments)
         for start, _, read in _read_back_blocks(cfg, params, n):
-            if not checks.feed(*read[:4]):
-                checks.raise_first()
+            checks.feed(*read[:4])
+            checks.raise_first(rate)
             _check_log_scores(read[4])
             if save_waveform is not None:
                 _write_rows(save_waveform, _HEADER_VOLUME if start == 0 else None, read[:4])
@@ -184,13 +188,8 @@ def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
     that passes them fails only in detection, where the blocks meet the
     segments in the order ``detect`` does.
     """
-    made = _BlockCheck(cfg.sample_rate_hz)
-    rate_error = scores_error = None
-    try:
-        rate = _pipeline_rate(cfg, n)
-    except HoldscanError as exc:
-        rate, rate_error = math.nan, exc
-    read = _BlockCheck(rate if rate > 0 else 1.0)
+    made, read = _BlockCheck(), _BlockCheck()
+    scores_error = None
     for _, made_block, read_block in _read_back_blocks(cfg, params, n):
         made.feed(*made_block)
         read.feed(*read_block[:4])
@@ -198,12 +197,7 @@ def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
             _check_log_scores(read_block[4])
         except HoldscanError as exc:
             scores_error = scores_error or exc
-    made.raise_first()
-    if rate_error is not None:
-        raise rate_error
-    if rate == math.inf:
-        read.raise_first(grid_only=True)
-    _check_rate(rate)
+    made.raise_first(cfg.sample_rate_hz)
     read.raise_first()
     if scores_error is not None:
         raise scores_error

@@ -35,6 +35,7 @@ from .errors import (
     NonFiniteInput,
     NonMonotonicTime,
     NonUniformSampling,
+    _real,
 )
 
 # Relative tolerance on |dt - 1/rate|; tighter than any real monitor's jitter.
@@ -84,7 +85,11 @@ class Waveform:
 
     @classmethod
     def _checked(cls, t, flow, pressure, sample_rate_hz: float, volume=None) -> Waveform:
-        """A waveform of float64 arrays that passed the checks already; not copied."""
+        """A waveform of float64 arrays, not copied, that the caller has checked.
+
+        The channels are 1-dimensional, of one length and finite, and a
+        :class:`_BlockCheck` has passed them at ``sample_rate_hz``.
+        """
         w = object.__new__(cls)
         for name, arr in (("t", t), ("flow", flow), ("pressure", pressure), ("volume", volume)):
             if arr is not None:
@@ -113,17 +118,6 @@ def _uneven(nominal: float, dev: float) -> NonUniformSampling:
     )
 
 
-def _check_grid(t: np.ndarray, rate: float, *channels: np.ndarray | None) -> None:
-    """Raise what :func:`validate_waveform` raises for ``t`` and ``channels`` at ``rate``.
-
-    The first non-finite value, else the first step of ``t`` that is not
-    forward, else a spacing that deviates from ``1 / rate``.
-    """
-    check = _BlockCheck(rate)
-    check.feed(t, *channels)
-    check.raise_first()
-
-
 def _check_span(w: Waveform, start: int, end: int, offset: int = 0) -> None:
     """Raise unless samples ``[start, end)`` of a recording lie in ``w``,
     which holds its samples from ``offset`` on."""
@@ -149,79 +143,88 @@ def validate_waveform(w: Waveform) -> None:
         arr = getattr(w, name)
         if arr is not None and len(arr) != n:
             raise MalformedRow(f"channel {name!r} length differs from t")
-    _check_rate(w.sample_rate_hz)
-    _check_grid(w.t, w.sample_rate_hz, w.flow, w.pressure, w.volume)
+    check = _BlockCheck()
+    check.feed(w.t, w.flow, w.pressure, w.volume)
+    # a rate that is no number is refused here, not inferred
+    check.raise_first(_real("sample_rate_hz", w.sample_rate_hz))
 
 
 class _BlockCheck:
-    """The checks of :func:`validate_waveform` on a recording given in consecutive blocks.
+    """The one rule for a recording's rate and for the order of its faults.
 
-    :meth:`feed` takes the channels of each block, ``t`` first (a channel
-    may be None, as ``volume`` is when the recording has none), and says
-    whether the block passes; the previous block's last timestamp is carried
-    into the grid check.  :meth:`raise_first` then raises what
-    :func:`validate_waveform` raises for the whole recording at ``rate``: the
-    first non-finite value of the first channel that has one, else the first
-    step that is not forward, else the largest deviation from the spacing.
-    The grid is no longer checked once a timestamp is not finite.
+    :meth:`feed` takes the channels of each consecutive block, ``t`` first
+    (a channel may be None, as ``volume`` is when the recording has none);
+    the previous block's last timestamp is carried into the grid check.  It
+    keeps the first non-finite value of each channel, the first step of
+    ``t`` that is not forward, and the smallest and largest step, so the
+    spacing can be judged at any rate afterwards; the grid is no longer
+    checked once a timestamp is not finite.  :meth:`raise_first` raises the
+    first fault of the recording so far and returns its rate.
     """
 
-    def __init__(self, rate: float) -> None:
-        self._nominal = 1.0 / rate
+    def __init__(self) -> None:
         self._pos = 0
-        self._last_t: float | None = None
+        self._first = self._last = math.nan
         self.bad: dict[str, int] = {}  # channel -> index of its first non-finite value
         self.backward: NonMonotonicTime | None = None
-        self.dev = 0.0
+        self._lo, self._hi = math.inf, -math.inf  # smallest and largest step
 
-    def feed(self, t: np.ndarray, *channels: np.ndarray | None) -> bool:
+    def feed(self, t: np.ndarray, *channels: np.ndarray | None) -> None:
         start, self._pos = self._pos, self._pos + len(t)
+        last, self._last = self._last, float(t[-1])
+        if start == 0:
+            self._first = float(t[0])
         for name, arr in zip(_CHANNELS, (t, *channels)):
             if arr is not None and name not in self.bad and not np.isfinite(arr).all():
                 self.bad[name] = start + int(np.flatnonzero(~np.isfinite(arr))[0])
-        if "t" in self.bad:
-            return False
-        last, self._last_t = self._last_t, float(t[-1])
-        dt = np.diff(t)
-        if last is not None and self.backward is None and not float(t[0]) - last > 0:
+        if "t" in self.bad or self.backward is not None:
+            return
+        with np.errstate(over="ignore"):  # a step beyond the float range is inf
+            dt = np.diff(t)
+        if start and not float(t[0]) - last > 0:
             self.backward = _backward(start, last, t[0])
-        if self.backward is None and not (dt > 0).all():
+        elif not (dt > 0).all():
             bad = int(np.flatnonzero(dt <= 0)[0])
             self.backward = _backward(start + bad + 1, t[bad], t[bad + 1])
-        if self.backward is not None:
-            return False
-        if len(dt):
-            self.dev = max(self.dev, float(np.abs(dt - self._nominal).max()))
-        if last is not None:
-            self.dev = max(self.dev, abs(float(t[0]) - last - self._nominal))
-        return not self.bad and self.dev <= SPACING_RTOL * self._nominal
+        else:
+            if len(dt):
+                self._lo, self._hi = min(self._lo, float(dt.min())), max(self._hi, float(dt.max()))
+            if start:
+                step = float(t[0]) - last
+                self._lo, self._hi = min(self._lo, step), max(self._hi, step)
 
-    def raise_first(self, grid_only: bool = False) -> None:
-        for name in () if grid_only else _CHANNELS:
+    def raise_first(self, rate: float | None = None) -> float:
+        """Raise the first fault of the recording at ``rate``; return the rate.
+
+        Without ``rate``, the rate is inferred as :func:`check_time_grid`
+        infers it, and a grid that has none (a single row, a span too short
+        for a finite rate, a timestamp that is not finite) fails first.
+        Then: a rate that is not positive and finite, or whose spacing
+        ``1 / rate`` overflows; the first non-finite value of the first
+        channel that has one; the first step that is not forward; the
+        largest deviation of a step from ``1 / rate``.
+        """
+        if rate is None:
+            rate = _span_rate(self._pos, self._first, self._last)
+            if rate == math.inf or "t" in self.bad:
+                self._raise_grid(0.0)
+        _check_rate(rate)
+        for name in _CHANNELS:
             if name in self.bad:
                 raise _non_finite(name, self.bad[name])
+        self._raise_grid(1.0 / rate)
+        return rate
+
+    def _raise_grid(self, nominal: float) -> None:
+        """Raise the first fault of the timestamps for the spacing ``nominal``."""
+        if "t" in self.bad:
+            raise _non_finite("t", self.bad["t"])
         if self.backward is not None:
             raise self.backward
-        if self.dev > SPACING_RTOL * self._nominal:
-            raise _uneven(self._nominal, self.dev)
-
-
-def _infer_rate(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
-    """The rate of a timestamp grid, as :func:`check_time_grid` returns it.
-
-    The grid itself is checked only where the inferred rate is infinite,
-    which no grid passes.
-    """
-    if expected_rate_hz is not None:
-        _check_rate(expected_rate_hz, "expected_rate_hz")
-    if len(t) == 0:
-        raise EmptyInput("no timestamps")
-    if expected_rate_hz is not None:
-        return float(expected_rate_hz)
-    rate = _span_rate(len(t), t[0], t[-1])
-    if rate == math.inf:
-        _check_grid(t, rate)
-    return rate
+        # rounding is monotonic, so this is the largest |step - nominal|
+        dev = max(self._hi - nominal, nominal - self._lo)
+        if dev > SPACING_RTOL * nominal:
+            raise _uneven(nominal, dev)
 
 
 def _span_rate(count: int, first: float, last: float) -> float:
@@ -238,7 +241,7 @@ def _span_rate(count: int, first: float, last: float) -> float:
 
 
 def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> float:
-    """Validate a timestamp grid (strictly increasing, uniform) and return its rate.
+    """Validate a timestamp grid (finite, strictly increasing, uniform) and return its rate.
 
     The rate is ``expected_rate_hz`` when given.  Otherwise it is inferred
     from the total span, and snapped to the nearest integer when that lies
@@ -247,18 +250,14 @@ def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> flo
     drift a serialized-and-reparsed grid picks up.  A single timestamp carries
     no spacing information and requires an explicit rate.
     """
-    rate = _infer_rate(t, expected_rate_hz)
-    _check_grid(t, rate)
-    return rate
-
-
-def _build_waveform(t, flow, pressure, volume=None, expected_rate_hz=None) -> Waveform:
-    """A waveform of parsed columns, at the rate :func:`check_time_grid` gives ``t``.
-
-    Building the :class:`Waveform` checks the grid, once.
-    """
-    return Waveform(t=t, flow=flow, pressure=pressure,
-                    sample_rate_hz=_infer_rate(t, expected_rate_hz), volume=volume)
+    if expected_rate_hz is not None:
+        _check_rate(expected_rate_hz, "expected_rate_hz")
+        expected_rate_hz = float(expected_rate_hz)
+    if len(t) == 0:
+        raise EmptyInput("no timestamps")
+    check = _BlockCheck()
+    check.feed(t)
+    return check.raise_first(expected_rate_hz)
 
 
 def _source_text(source: IO | bytes | str) -> str:
@@ -370,10 +369,11 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
     :func:`check_time_grid`).  Raises the usual taxonomy errors on malformed
     or inconsistent input.
     """
-    header, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
-    cols = rows.T
-    volume = cols[3] if len(header) == 4 else None
-    return _build_waveform(cols[0], cols[1], cols[2], volume, expected_rate_hz)
+    _, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
+    # one contiguous row per channel; the reader has refused non-finite values
+    t, flow, pressure, *volume = rows.T.copy()
+    rate = check_time_grid(t, expected_rate_hz)
+    return Waveform._checked(t, flow, pressure, rate, *volume)
 
 
 def format_value(v: float) -> str:

@@ -3,7 +3,8 @@
 ``cli.run`` is driven with the argv of all five subcommands.  Flag values
 are drawn from the edges of the float range and from text that is no
 number; ``--config`` files and the input files are drawn as canonical text
-with random edits.  The durations and rates that can be drawn cap a
+with random edits, and waveform and trace files also as a few rows with
+timestamps at the edges of the float range.  The durations and rates that can be drawn cap a
 recording at 90 s x 250 Hz, or make it fail its checks before anything is
 allocated.
 """
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holdscan import cli
-from test_any_bytes import _edited
+from test_any_bytes import _edge_files, _edited
 
 EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "1" * 400, "abc", ""]
 
@@ -144,6 +145,18 @@ def _command(draw):
     return argv, files
 
 
+@st.composite
+def _edge_command(draw):
+    """``score``, ``detect`` or ``report`` on files whose timestamps lie at the float edge."""
+    wave, trace = draw(_edge_files())
+    files = {"w.csv": wave, "t.csv": trace, "s.ndjson": draw(st.sampled_from([b"", SEGMENTS]))}
+    argv = draw(st.sampled_from([["score", "w.csv"], ["detect", "t.csv", "--waveform", "w.csv"],
+                                 ["report", "w.csv", "--segments", "s.ndjson"]]))
+    if draw(st.booleans()):
+        argv = [*argv, f"--expected-rate-hz={draw(st.sampled_from(['1', '100']))}"]
+    return argv, files
+
+
 class _NonStandard(Exception):
     pass
 
@@ -158,34 +171,43 @@ def _minus_infinity(text):
     return "-Infinity"
 
 
+def _run_and_check(argv, files):
+    """Run ``argv`` on ``files`` in a fresh directory; output or one error line, no warning."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            with open(os.path.join(d, name), "wb") as fh:
+                fh.write(data)
+        argv = [os.path.join(d, a) if a in files else
+                a.replace("=c.txt", "=" + os.path.join(d, "c.txt")) for a in argv]
+        out, err, console = io.StringIO(), io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(console):
+            warnings.simplefilter("error")
+            code = cli.run(argv, stdin=io.StringIO(""), stdout=out, stderr=err)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert console.getvalue() == ""  # not even argparse writes to sys.stderr
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == ""
+    if argv[0] in ("report", "pipeline"):
+        for line in out.splitlines():
+            json.loads(line, parse_constant=_strict)
+    if argv[0] == "detect":
+        for line in out.splitlines():
+            record = json.loads(line, parse_constant=_minus_infinity)
+            for key, value in record.items():
+                assert value != "-Infinity" or key in ("peak_log_score", "mean_log_score")
+
+
 class TestAnyCommandLine:
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=_command())
     def test_output_or_one_error_line(self, case):
-        argv, files = case
-        with tempfile.TemporaryDirectory() as d:
-            for name, data in files.items():
-                with open(os.path.join(d, name), "wb") as fh:
-                    fh.write(data)
-            argv = [os.path.join(d, a) if a in files else
-                    a.replace("=c.txt", "=" + os.path.join(d, "c.txt")) for a in argv]
-            out, err, console = io.StringIO(), io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(console):
-                warnings.simplefilter("error")
-                code = cli.run(argv, stdin=io.StringIO(""), stdout=out, stderr=err)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        assert console.getvalue() == ""  # not even argparse writes to sys.stderr
-        if code == 0:
-            assert err == ""
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert out == ""
-        if argv[0] in ("report", "pipeline"):
-            for line in out.splitlines():
-                json.loads(line, parse_constant=_strict)
-        if argv[0] == "detect":
-            for line in out.splitlines():
-                record = json.loads(line, parse_constant=_minus_infinity)
-                for key, value in record.items():
-                    assert value != "-Infinity" or key in ("peak_log_score", "mean_log_score")
+        _run_and_check(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_command())
+    def test_timestamps_at_the_float_edge(self, case):
+        _run_and_check(*case)

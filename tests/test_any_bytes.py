@@ -1,6 +1,7 @@
 """Any bytes given to a reader give a value or a HoldscanError, never another exception."""
 
 import io
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,9 +64,26 @@ def _edited(draw, texts=_CANONICAL):
     return data
 
 
-def _loads(data):
+# timestamps at the edges of the float range; steps between them overflow,
+# and the spans they make give no finite rate, or one whose spacing overflows
+_EDGE_TIMES = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, float("inf"),
+               5e-324, -0.0]
+
+
+@st.composite
+def _edge_files(draw):
+    """Waveform and trace bytes of 2 to 5 rows, each timestamp an edge value or on a 100 Hz grid."""
+    t = [draw(st.sampled_from([*_EDGE_TIMES, i / 100.0])) for i in range(draw(st.integers(2, 5)))]
+    wave = "t,flow,pressure\n" + "".join(f"{v!r},0,15\n" for v in t)
+    trace = "t,log_score\n" + "".join(f"{v!r},-1\n" for v in t)
+    return wave.encode("ascii"), trace.encode("ascii")
+
+
+def _loads(data, expected_rate_hz=None):
     """Every reader's outcome for the bytes; a value or a HoldscanError each."""
-    readers = (load_waveform_csv, load_score_trace_csv, read_segments_ndjson)
+    readers = (lambda source: load_waveform_csv(source, expected_rate_hz),
+               lambda source: load_score_trace_csv(source, expected_rate_hz),
+               read_segments_ndjson)
     for read in readers:
         for source in (data, io.BytesIO(data)):
             try:
@@ -84,6 +102,14 @@ class TestAnyBytes:
     @given(data=_edited())
     def test_edited_canonical_text(self, data):
         _loads(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(files=_edge_files(), expected_rate_hz=st.sampled_from([None, 1.0, 100.0]))
+    def test_timestamps_at_the_float_edge(self, files, expected_rate_hz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data in files:
+                _loads(data, expected_rate_hz)
 
     def test_huge_integer_and_deep_nesting(self):
         # json.loads raises ValueError past 4300 digits and RecursionError

@@ -31,7 +31,7 @@ from holdscan.cli import run
 from holdscan.stream import _HoldReports, _read_back_blocks, _stage_blocks
 from holdscan.mechanics import HEURISTICS_NOTE, report_hold
 from holdscan.mockgen import _BLOCK, _sample_count
-from holdscan.waveform import _build_waveform, _read_back
+from holdscan.waveform import _read_back, check_time_grid
 
 
 def run_cli(argv, stdin_text=""):
@@ -562,8 +562,9 @@ def read_back_stages(cfg, params):
     """The waveform and trace ``score`` and ``detect`` read back: the whole
     recording generated, then each column and the log-scores read back."""
     w, _ = generate_mock_waveform(cfg)
-    read = _build_waveform(_read_back(w.t), _read_back(w.flow), _read_back(w.pressure),
-                           _read_back(w.volume))
+    t = _read_back(w.t)
+    read = Waveform(t=t, flow=_read_back(w.flow), pressure=_read_back(w.pressure),
+                    sample_rate_hz=check_time_grid(t), volume=_read_back(w.volume))
     scores = score_series(read, params).log_scores
     return read, ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=read.sample_rate_hz)
 
@@ -579,7 +580,7 @@ def read_back_pass(cfg, params):
     """pipeline's read-back blocks joined, as the waveform and trace of the stages."""
     blocks = [[c.copy() for c in read] for _, _, read in _read_back_blocks(cfg, params, _sample_count(cfg))]
     t, flow, pressure, volume, scores = (np.concatenate(c) for c in zip(*blocks))
-    w = _build_waveform(t, flow, pressure, volume)
+    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=check_time_grid(t), volume=volume)
     return w, ScoreTrace(log_scores=scores, sample_rate_hz=w.sample_rate_hz)
 
 
@@ -843,6 +844,18 @@ class TestNumericValues:
         for argv in (["score", str(wave)], ["detect", str(trace), "--waveform", str(wave)],
                      ["report", str(wave), "--segments", str(segs)]):
             assert_clean_failure(argv + ["--expected-rate-hz", "5e-324"])
+
+    def test_timestamps_whose_step_overflows(self, tmp_path):
+        # the span from -1e308 to 1e308 is beyond the float range: the rate
+        # inferred from it is 0, and at a given rate the step is inf
+        wave, trace, segs = tmp_path / "w.csv", tmp_path / "t.csv", tmp_path / "s.ndjson"
+        wave.write_text("t,flow,pressure\n-1e308,1,2\n1e308,1,2\n")
+        trace.write_text("t,log_score\n-1e308,-1\n1e308,-1\n")
+        segs.write_text("")
+        for rate in ([], ["--expected-rate-hz", "1"]):
+            for argv in (["score", str(wave)], ["detect", str(trace), "--waveform", str(wave)],
+                         ["report", str(wave), "--segments", str(segs)]):
+                assert_clean_failure(argv + rate)
 
     def test_overflowing_noise_ends_in_one_error_line(self):
         assert_clean_failure(["pipeline", "--seed", "9", "--duration-s", "30", "--hold", "0:1",

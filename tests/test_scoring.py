@@ -17,7 +17,6 @@ from holdscan import (
     ScoreTrace,
     gaussian_pdf,
     load_score_trace_csv,
-    log_gaussian_pdf,
     log_score_sample,
     score_sample,
     score_series,
@@ -55,6 +54,12 @@ def test_oracle_constants_recompute():
     assert float(mp.log(1 - mp.mpf("1e-12")) - mp.log(mp.mpf("1e-12"))) == MAX_LOG_SCORE
 
 
+def _log_pdf(x, mean, var):
+    """ln N(x | mean, var) written out, as log_score_sample sums it per channel."""
+    d = x - mean
+    return -0.5 * math.log(2.0 * math.pi * var) - (d * d) / (2.0 * var)
+
+
 class TestGaussianPdf:
     def test_standard_peak(self):
         assert gaussian_pdf(0.0, 0.0, 1.0) == pytest.approx(PDF_PEAK, rel=1e-12)
@@ -90,28 +95,15 @@ class TestGaussianPdf:
     def test_non_negative_and_log_consistent(self, x, mean, var):
         p = gaussian_pdf(x, mean, var)
         assert p >= 0.0
-        lp = log_gaussian_pdf(x, mean, var)
+        lp = _log_pdf(x, mean, var)
         if p > 1e-300:
             assert math.log(p) == pytest.approx(lp, rel=1e-12, abs=1e-12)
 
+    def test_log_of_standard_peak(self):
+        assert math.log(gaussian_pdf(0.0, 0.0, 1.0)) == pytest.approx(LOGPDF_PEAK, rel=1e-12)
 
-class TestLogGaussianPdf:
-    def test_standard_peak(self):
-        assert log_gaussian_pdf(0.0, 0.0, 1.0) == pytest.approx(LOGPDF_PEAK, rel=1e-12)
-
-    def test_matches_log_of_pdf_at_peak(self):
-        assert log_gaussian_pdf(5.0, 5.0, 1.0) == pytest.approx(
-            math.log(gaussian_pdf(5.0, 5.0, 1.0)), abs=1e-12
-        )
-
-    def test_no_underflow(self):
-        assert log_gaussian_pdf(60.0, 0.0, 1.0) == pytest.approx(LOGPDF_60, rel=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(NonPositiveVariance):
-            log_gaussian_pdf(0.0, 0.0, 0.0)
-        with pytest.raises(NonFiniteInput):
-            log_gaussian_pdf(float("-inf"), 0.0, 1.0)
+    def test_log_of_peak_at_other_mean(self):
+        assert math.log(gaussian_pdf(5.0, 5.0, 1.0)) == pytest.approx(LOGPDF_PEAK, abs=1e-12)
 
 
 class TestScoreSample:
@@ -180,8 +172,19 @@ class TestLogScoreSample:
         got = log_score_sample(60.0, 5.0)
         assert got == pytest.approx(LOG_SCORE_60_5, rel=1e-12)
         # below ln q ~ -40 the correction term is exactly zero in float64
-        lq = log_gaussian_pdf(60.0, 0.0, 1.0) + log_gaussian_pdf(5.0, 15.0, 1.0)
+        lq = _log_pdf(60.0, 0.0, 1.0) + _log_pdf(5.0, 15.0, 1.0)
         assert got == lq
+
+    def test_no_underflow(self):
+        # the flow term alone is ln N(60 | 0, 1), which underflows linear float64
+        assert log_score_sample(60.0, 15.0) == pytest.approx(LOGPDF_60 + LOGPDF_PEAK, rel=1e-12)
+
+    def test_errors(self):
+        with pytest.raises(NonPositiveVariance):
+            log_score_sample(0.0, 15.0, ModelParams(var_pressure=0.0))
+        for flow, pressure in ((float("-inf"), 15.0), (0.0, float("nan"))):
+            with pytest.raises(NonFiniteInput):
+                log_score_sample(flow, pressure)
 
     def test_negative_infinity_on_square_overflow(self):
         assert log_score_sample(1e200, 15.0) == float("-inf")
@@ -270,7 +273,7 @@ class TestSquareOverflow:
     def test_window_sum_leaving_float64(self):
         # each term is finite, their sum is not
         w = make_waveform([13.0, 13.0, 13.0], [15.0, 15.0, 15.0])
-        terms = [log_gaussian_pdf(13.0, 0.0, 1e-306) + log_gaussian_pdf(15.0, 15.0, 1.0)] * 3
+        terms = [_log_pdf(13.0, 0.0, 1e-306) + _log_pdf(15.0, 15.0, 1.0)] * 3
         assert all(math.isfinite(v) for v in terms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,7 +305,7 @@ class TestWindowLogEvidence:
     def test_matches_scalar_density_sums(self):
         w, _ = generate_mock_waveform(MockConfig(duration_s=5.0, holds=(), rng_seed=21))
         direct = math.fsum(
-            log_gaussian_pdf(f, 0.0, 1.0) + log_gaussian_pdf(p, 15.0, 1.0)
+            _log_pdf(f, 0.0, 1.0) + _log_pdf(p, 15.0, 1.0)
             for f, p in zip(w.flow, w.pressure)
         )
         assert window_log_evidence(w, 0, len(w)) == pytest.approx(direct, abs=1e-9)

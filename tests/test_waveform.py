@@ -1,4 +1,5 @@
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,6 @@ from holdscan import (
 from holdscan.mockgen import _BLOCK
 from holdscan.waveform import (
     _BlockCheck,
-    _check_grid,
     _read_back,
     check_time_grid,
     format_value,
@@ -106,7 +106,8 @@ class TestLoadCsv:
             load_waveform_csv("t,flow,pressure\n0,1,1\n5e-324,1,1\n")
 
     def test_grid_checked_once(self):
-        with mock.patch("holdscan.waveform._check_grid", wraps=_check_grid) as check:
+        with mock.patch.object(_BlockCheck, "raise_first", autospec=True,
+                               side_effect=_BlockCheck.raise_first) as check:
             load_waveform_csv(CSV_3ROWS)
         assert check.call_count == 1
 
@@ -190,6 +191,14 @@ class TestValidate:
             with pytest.raises(InvalidConfig):
                 Waveform(t=w.t, flow=w.flow, pressure=w.pressure, sample_rate_hz=rate)
 
+    def test_rate_judged_before_the_channels(self):
+        t = np.arange(3) / 100.0
+        flow = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(InvalidConfig):
+            Waveform(t=t, flow=flow, pressure=t, sample_rate_hz=0.0)
+        with pytest.raises(NonFiniteInput):
+            Waveform(t=t, flow=flow, pressure=t, sample_rate_hz=100.0)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(MalformedRow):
             Waveform(
@@ -258,10 +267,13 @@ class TestBlockCheck:
             object.__setattr__(w, name, arr)
         object.__setattr__(w, "sample_rate_hz", rate)
         assert _first_error(lambda: validate_waveform(w)) == want
-        check = _BlockCheck(rate)
-        passed = [check.feed(*(c[lo:hi] for c in channels))
-                  for lo, hi in zip([0, *edges], [*edges, len(channels[0])]) if hi > lo]
-        assert _first_error(check.raise_first) == want
+        check = _BlockCheck()
+        passed = []
+        for lo, hi in zip([0, *edges], [*edges, len(channels[0])]):
+            if hi > lo:
+                check.feed(*(c[lo:hi] for c in channels))
+                passed.append(_first_error(lambda: check.raise_first(rate)) is None)
+        assert _first_error(lambda: check.raise_first(rate)) == want
         assert all(passed) == (want is None)
 
     def test_without_volume(self):
@@ -275,11 +287,12 @@ class TestBlockCheck:
     def test_backward_step_at_a_block_edge(self):
         t = np.arange(10) / 100.0
         t[5] = t[4]
-        check = _BlockCheck(100.0)
-        assert check.feed(t[:5], t[:5], t[:5], t[:5])
-        assert not check.feed(t[5:], t[5:], t[5:], t[5:])
+        check = _BlockCheck()
+        check.feed(t[:5], t[:5], t[:5], t[:5])
+        assert check.raise_first() == check.raise_first(100.0) == 100.0
+        check.feed(t[5:], t[5:], t[5:], t[5:])
         with pytest.raises(NonMonotonicTime, match="at index 5 "):
-            check.raise_first()
+            check.raise_first(100.0)
 
 
 class TestTimeGrid:
@@ -304,6 +317,27 @@ class TestTimeGrid:
         t[2] = bad
         with pytest.raises(NonFiniteInput, match="'t' has a non-finite value at index 2$"):
             check_time_grid(t, 100.0)
+
+    @pytest.mark.parametrize("t", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, np.nan, 1.0]])
+    def test_non_finite_timestamp_without_a_rate(self, t):
+        # the rate cannot be inferred from a span that is not finite
+        with pytest.raises(NonFiniteInput, match="'t' has a non-finite value"):
+            check_time_grid(np.array(t))
+
+    @pytest.mark.parametrize("t", [[0.0, 1.7976931348623157e308], [-1e308, 1e308]])
+    def test_span_at_the_float_edge(self, t):
+        # the inferred rate is 0, or so small that its spacing 1 / rate overflows
+        with pytest.raises(InvalidConfig, match="sample_rate_hz must be positive"):
+            check_time_grid(np.array(t))
+        with pytest.raises(InvalidConfig, match="sample_rate_hz must be positive"):
+            load_waveform_csv("t,flow,pressure\n" + "".join(f"{v!r},0,15\n" for v in t))
+
+    def test_step_beyond_the_float_range(self):
+        # the step overflows to inf, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUniformSampling, match="by inf "):
+                check_time_grid(np.array([-1e308, 1e308]), 1.0)
 
 
 # values in a physiological-to-extreme range; 9 significant digits quantize
