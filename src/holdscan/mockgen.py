@@ -123,16 +123,17 @@ class GroundTruth:
     hold_segments: tuple[tuple[float, float], ...]
 
 
-def _splitmix64(seed: int, first_counter: int, count: int) -> np.ndarray:
-    """SplitMix64 outputs for counters [first_counter, first_counter+count)."""
-    x = np.arange(first_counter + 1, first_counter + count + 1, dtype=np.uint64)
+def _splitmix64(seed: int, first_counter: int, count: int, step: int = 1) -> np.ndarray:
+    """SplitMix64 outputs for the ``count`` counters from ``first_counter`` on, ``step`` apart."""
+    x = np.arange(first_counter + 1, first_counter + 1 + count * step, step, dtype=np.uint64)
     x *= _GAMMA
     x += np.uint64(seed & _MASK64)  # wraps mod 2**64
-    x ^= x >> np.uint64(30)
+    shifted = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=shifted)
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifted)
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifted)
     return x
 
 
@@ -140,13 +141,15 @@ def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
     """Box-Muller cosine variates from consecutive counter pairs.
 
     u1 is mapped into (0, 1] so the log never sees zero; u2 into [0, 1).
+    Each takes the words of its own counters, the first or second of each pair.
     """
-    words = _splitmix64(seed, first_counter, 2 * count) >> np.uint64(11)
-    u1 = words[0::2].astype(np.float64)
-    u1 += 1.0
+    words = _splitmix64(seed, first_counter, count, 2)
+    words >>= np.uint64(11)
+    u1 = np.add(words, 1.0)  # exact: the words are below 2**53
     u1 *= 2.0**-53
-    u2 = words[1::2].astype(np.float64)
-    u2 *= 2.0**-53
+    words = _splitmix64(seed, first_counter + 1, count, 2)
+    words >>= np.uint64(11)
+    u2 = np.multiply(words, 2.0**-53)
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
@@ -200,39 +203,44 @@ def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
     for start in range(0, n, size):
         m = min(size, n - start)
         # values beyond the float range become inf or nan without a warning;
-        # the checks of the recording then report the first of them
+        # the checks of the recording then report the first of them.  The
+        # arrays are computed in place, and temporaries freed before the yield.
         with np.errstate(all="ignore"):
             t = np.arange(start, start + m, dtype=np.float64) / rate
-
-            phase = np.mod(t, period)
+            phase = np.fmod(t, period)  # np.mod, for t >= 0
             insp = phase < t_insp
             u = phase / t_insp  # inspiratory phase fraction, valid where insp
-            v = (phase - t_insp) / t_exp  # expiratory phase fraction, valid elsewhere
-            decay = np.exp(-DECAY_RATE * np.where(insp, u, v))  # of the sample's own phase
-            flow = np.where(
-                insp,
-                config.peak_flow_lpm * decay,
-                -config.peak_flow_lpm * config.i_to_e_ratio * decay,
-            )
-            pressure = np.where(
-                insp,
-                peep + (peak_p - peep) * u,
-                peep + (peak_p - peep) * decay,
-            )
-
-            hold_mask = _hold_mask(t, config.holds)
-            flow = np.where(hold_mask, 0.0, flow)
-            pressure = np.where(hold_mask, config.plateau_cmh2o, pressure)
-
-            flow = flow + config.noise_sd_flow * _standard_normals(config.rng_seed, 2 * start, m)
-            pressure = pressure + config.noise_sd_pressure * _standard_normals(
-                config.rng_seed, 2 * n + 2 * start, m
-            )
+            # the sample's own phase fraction: expiratory, or u where insp
+            decay = np.subtract(phase, t_insp, out=phase)
+            decay /= t_exp
+            np.copyto(decay, u, where=insp)
+            decay *= -DECAY_RATE
+            np.exp(decay, out=decay)
+            flow = decay * (-config.peak_flow_lpm * config.i_to_e_ratio)
+            np.multiply(decay, config.peak_flow_lpm, out=flow, where=insp)
+            pressure = u
+            np.copyto(pressure, decay, where=np.logical_not(insp, out=insp))
+            pressure *= peak_p - peep
+            pressure += peep
+            del phase, insp, u, decay
+            hold = _hold_mask(t, config.holds)
+            np.copyto(flow, 0.0, where=hold)
+            np.copyto(pressure, config.plateau_cmh2o, where=hold)
+            del hold
+            noise = _standard_normals(config.rng_seed, 2 * start, m)
+            noise *= config.noise_sd_flow
+            flow += noise
+            noise = _standard_normals(config.rng_seed, 2 * n + 2 * start, m)
+            noise *= config.noise_sd_pressure
+            pressure += noise
 
             # trapezoid steps into each sample; the first sample of the recording has none
-            flow_lps = flow / 60.0
+            flow_lps = np.divide(flow, 60.0, out=noise)
             volume = np.empty(m)
-            volume[1:] = np.diff(t) * 0.5 * (flow_lps[1:] + flow_lps[:-1])
+            np.add(flow_lps[1:], flow_lps[:-1], out=volume[1:])
+            half_dt = np.diff(t)
+            half_dt *= 0.5
+            volume[1:] *= half_dt
             if last is None:
                 volume[0] = 0.0
                 np.cumsum(volume[1:], out=volume[1:])
@@ -241,6 +249,7 @@ def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
                 volume[0] = last_volume + (t[0] - last_t) * 0.5 * (flow_lps[0] + last_flow_lps)
                 np.cumsum(volume, out=volume)
             last = (t[-1], flow_lps[-1], volume[-1])
+            del noise, flow_lps, half_dt
         yield start, t, flow, pressure, volume
 
 
@@ -253,11 +262,7 @@ def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform,
     n = _sample_count(config)
     # The whole recording is returned, so it is one block here; cache-sized
     # blocks pay off where each is consumed while in cache (``pipeline``).
-    # The generator, and with it the block's temporaries, stays alive until
-    # the waveform has copied the block, so that the waveform's arrays are
-    # placed, and the heap is left, as by a single pass over the recording.
-    blocks = _blocks(config, n, n)
-    _, t, flow, pressure, volume = next(blocks)
+    _, t, flow, pressure, volume = next(_blocks(config, n, n))
     w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=config.sample_rate_hz,
                  volume=volume)
     return w, _ground_truth(config)

@@ -31,7 +31,6 @@ from typing import IO
 import numpy as np
 
 from .errors import (
-    EmptyInput,
     InvalidConfig,
     InvalidRange,
     MalformedRow,
@@ -95,7 +94,8 @@ class ScoreTrace:
 
 
 def _check_log_scores(log_scores: np.ndarray) -> None:
-    if np.any(np.isnan(log_scores)) or np.any(log_scores == np.inf):
+    # false only for nan and inf
+    if not (log_scores < np.inf).all():
         raise NonFiniteInput("log_scores entries must be finite or -inf")
 
 
@@ -167,8 +167,11 @@ def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParam
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lq = _log_density(flow, pressure, params)
         np.minimum(lq, LOG_Q_MAX, out=lq)
-        q = np.exp(lq)
-        return lq - np.log1p(-q)
+        # at or below -40, lq - log1p(-exp(lq)) rounds to lq (log_score_sample)
+        near = np.flatnonzero(lq > -40.0)
+        near_lq = lq[near]
+        lq[near] = near_lq - np.log1p(-np.exp(near_lq))
+    return lq
 
 
 def score_series(w: Waveform, params: ModelParams = ModelParams()) -> ScoreTrace:

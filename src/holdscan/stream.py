@@ -6,12 +6,18 @@ text in numpy (``waveform._read_back``) and writes the text only to save
 it.  :func:`_stage_blocks` takes the generator's blocks (``mockgen._blocks``)
 one at a time: each is read back, checked as ``score`` checks a whole
 recording (by ``waveform._BlockCheck``, which holds the rule for the rate
-and the order of the faults), scored, its log-scores read back, written to
-the ``--save-*`` streams and fed to a resumable hold scan
-(``detection._HoldScan``).  Each segment is reported on its own window of
-samples (:class:`_HoldReports`).  When a check fails,
-:func:`_raise_first_error` finds the error the separate commands give in
-one more pass, with one such check for ``generate`` and one for ``score``.
+and the order of the faults), scored, written to the ``--save-*`` streams
+and fed to a resumable hold scan (``detection._HoldScan``).  Each segment is
+reported on its own window of samples (:class:`_HoldReports`).  When a check
+fails, :func:`_raise_first_error` finds the error the separate commands give
+in one more pass, with one such check for ``generate`` and one for ``score``.
+
+Per block, only t, flow and pressure are read back; the volume and the
+log-scores, which decide nothing per sample, are read back on a segment's
+window.  A value and its read-back are alike finite, infinite or nan and
+have one text, so the checks and the saved text are the same; the read-back
+is monotone, so the hold scan compares the log-scores with thresholds
+translated once (``waveform._read_back_threshold``).
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
 temporaries, a ring of the last ``mechanics.VOLUME_LOOKBACK_S`` seconds of
@@ -25,6 +31,7 @@ stages ``--save-*`` text in temporary files, not in memory.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,6 +53,7 @@ from .waveform import (
     _BlockCheck,
     _check_rate,
     _read_back,
+    _read_back_threshold,
     _span_rate,
     _write_rows,
     format_value,
@@ -55,17 +63,16 @@ from .waveform import (
 def _read_back_blocks(cfg: MockConfig, params: ModelParams, n: int):
     """``(start, made, read)`` for each block of the recording.
 
-    ``made`` is the generated ``[t, flow, pressure, volume]`` and ``read``
-    the same read back (the values ``score`` and ``detect`` read from
-    ``generate``'s text) followed by their log-scores read back (what
-    ``detect`` reads from ``score``'s text).
+    ``made`` is the generated ``[t, flow, pressure, volume]``, ``read`` its
+    t, flow and pressure read back (the values ``score`` reads from
+    ``generate``'s text), the volume, and their log-scores, not read back.
     """
     # Fresh arrays for each block, freed before the next, come back from the
     # heap without new pages; reusing buffers of a block's size took 7 times
     # the page faults on 1 h in a process that runs pipeline repeatedly.
     for start, *made in _blocks(cfg, n):
-        read = [_read_back(values) for values in made]
-        read.append(_read_back(_log_scores_array(read[1], read[2], params)))
+        read = [_read_back(values) for values in made[:3]]
+        read += [made[3], _log_scores_array(read[1], read[2], params)]
         yield start, made, read
 
 
@@ -80,21 +87,25 @@ def _pipeline_rate(cfg: MockConfig, n: int) -> float:
 class _HoldReports:
     """Hold segments and their reports from a recording given block by block.
 
-    Each block's channels ``[t, flow, pressure, volume, log_score]`` go to a
-    resumable hold scan (``detection._HoldScan``).  A segment ``[a, b)`` it
-    finishes is summarized and reported on samples ``[a - lookback, b)``
-    (``lookback`` samples make ``VOLUME_LOOKBACK_S`` at the rate), which
-    gives the report of the whole recording.  Between blocks only what a
-    segment still to be reported can need is kept: the samples from
-    ``lookback`` before the scan's current run, or before its position when
-    no run is open or pending.  That is a ring of the last ``lookback``
+    Each block's channels ``[t, flow, pressure, volume, log_score]``, the
+    last two not read back, go to a resumable hold scan
+    (``detection._HoldScan``) with translated thresholds.  A segment
+    ``[a, b)`` it finishes is summarized and reported on samples
+    ``[a - lookback, b)`` (``lookback`` samples make ``VOLUME_LOOKBACK_S``
+    at the rate), its volume and log-scores read back, which gives the
+    report of the whole recording.  Between blocks only what a segment still
+    to be reported can need is kept: the samples from ``lookback`` before
+    the scan's current run, or before its position when no run is open or
+    pending.  That is a ring of the last ``lookback``
     samples, plus the samples of the run, kept as views of the blocks they
     lie in.
     """
 
     def __init__(self, config: DetectionConfig, rate: float, peep: float | None,
                  save_segments=None) -> None:
-        self._scan = _HoldScan(config, rate)
+        on, off = config.log_threshold_on, config.log_threshold_off
+        self._scan = _HoldScan(replace(config, log_threshold_on=_read_back_threshold(on),
+                                       log_threshold_off=_read_back_threshold(off)), rate)
         self._rate = rate
         self._lookback = _samples(VOLUME_LOOKBACK_S, rate)
         self._peep = peep
@@ -135,10 +146,9 @@ class _HoldReports:
         t, flow, pressure, volume, ls = (
             parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
         )
-        w = Waveform._checked(t, flow, pressure, self._rate, volume)
-        record = segment_record(
-            summarize_segment(w, _hold_segment(a, b, ls[a - lo :], self._rate), lo)
-        )
+        w = Waveform._checked(t, flow, pressure, self._rate, _read_back(volume))
+        segment = _hold_segment(a, b, _read_back(ls[a - lo :]), self._rate)
+        record = segment_record(summarize_segment(w, segment, lo))
         if self._save_segments is not None:
             write_segments_ndjson([record], self._save_segments)
         self._lines.append(json.dumps(report_hold(w, record, self._peep, lo)) + "\n")
@@ -149,13 +159,14 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
                   save_segments=None) -> str:
     """``pipeline``'s one pass over the recording, block by block; returns the report text.
 
-    Each block is generated, read back (the values a reader gives for the
-    9-digit text), checked as ``score`` checks the whole recording (at the
-    rate it infers from the first and last timestamps, the previous block's
-    last timestamp carried into the grid check), scored, its log-scores read
-    back, written to the ``save_*`` streams, and fed to :class:`_HoldReports`,
-    so only one block, the samples segments still need and the records are
-    held.  If a check fails, the error is the one the separate commands give.
+    Each block is generated, its t, flow and pressure read back (the values
+    a reader gives for the 9-digit text), checked as ``score`` checks the
+    whole recording (at the rate it infers from the first and last
+    timestamps, the previous block's last timestamp carried into the grid
+    check), scored, written to the ``save_*`` streams, and fed to
+    :class:`_HoldReports`, so only one block, the samples segments still
+    need and the records are held.  If a check fails, the error is the one
+    the separate commands give.
     """
     n = _sample_count(cfg)
     try:

@@ -496,6 +496,26 @@ class TestPipeline:
         assert '"start_s": 60.0' in manual[0]
         assert self.save_all(tmp_path, gen) == manual
 
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    @pytest.mark.parametrize("flag", ["--log-threshold-on", "--log-threshold-off"])
+    def test_threshold_on_a_trace_value_matches_stages(self, tmp_path, flag, steps):
+        # pipeline compares its log-scores, not read back, with the thresholds
+        # translated; here a threshold is a log-score detect reads (the peak,
+        # or the one that closes the segment), or a float neighbour of it
+        gen = ["--seed", "7", "--duration-s", "120", "--hold", "60:2"]
+        _, _, trace, segs = self.manual_composition(tmp_path, gen_args=gen)
+        log_scores = [float(line.split(",")[1]) for line in trace.splitlines()[1:]]
+        (segment,) = map(json.loads, segs.splitlines())
+        value = (max(log_scores) if flag == "--log-threshold-on"
+                 else log_scores[segment["end_index"]])
+        for _ in range(abs(steps)):
+            value = np.nextafter(value, np.inf if steps > 0 else -np.inf)
+        det = [flag, repr(float(value))]
+        manual = self.manual_composition(tmp_path, gen_args=gen, detect_args=det)
+        assert self.save_all(tmp_path, [*gen, *det]) == manual
+        # above the peak, no sample opens a segment
+        assert (manual[0] == "") == (flag == "--log-threshold-on" and steps > 0)
+
     def test_no_csv_text_unless_saved(self):
         # the read-back values are computed; no CSV is written or parsed
         fail = mock.Mock(side_effect=AssertionError("CSV text in pipeline"))
@@ -577,11 +597,14 @@ def _outcome(fn, *args):
 
 
 def read_back_pass(cfg, params):
-    """pipeline's read-back blocks joined, as the waveform and trace of the stages."""
+    """pipeline's read-back blocks joined, as the waveform and trace of the
+    stages; the pass keeps the volume and the log-scores as computed, so they
+    are read back here."""
     blocks = [[c.copy() for c in read] for _, _, read in _read_back_blocks(cfg, params, _sample_count(cfg))]
     t, flow, pressure, volume, scores = (np.concatenate(c) for c in zip(*blocks))
-    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=check_time_grid(t), volume=volume)
-    return w, ScoreTrace(log_scores=scores, sample_rate_hz=w.sample_rate_hz)
+    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=check_time_grid(t),
+                 volume=_read_back(volume))
+    return w, ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=w.sample_rate_hz)
 
 
 def block_pass(cfg, params):
@@ -661,16 +684,18 @@ def _reported_recordings(draw):
 
 
 class TestHoldReports:
-    """pipeline's windowed reports against report_hold on the whole recording."""
+    """pipeline's windowed reports against report_hold on the whole recording read back."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_reported_recordings())
     def test_matches_whole_recording(self, case):
         cfg, edges, config, peep = case
-        w, _ = generate_mock_waveform(cfg)
-        trace = score_series(w)
+        w, trace = read_back_stages(cfg, ModelParams())
         records = [segment_record(summarize_segment(w, s)) for s in detect_holds(trace, config)]
-        channels = (w.t, w.flow, w.pressure, w.volume, trace.log_scores)
+        # as pipeline feeds them: t, flow and pressure read back, the volume
+        # and the log-scores as computed
+        made, _ = generate_mock_waveform(cfg)
+        channels = (w.t, w.flow, w.pressure, made.volume, score_series(w).log_scores)
 
         saved = io.StringIO()
         reports = _HoldReports(config, w.sample_rate_hz, peep, saved)
