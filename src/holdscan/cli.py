@@ -68,6 +68,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        try:  # any number is a value; argparse's own rule misses -1e3 and -inf
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 # ---------------------------------------------------------------------------
 # ground truth and --save-* destinations

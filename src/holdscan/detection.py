@@ -59,7 +59,7 @@ class DetectionConfig:
         for name in ("min_duration_s", "merge_gap_s"):
             v = getattr(self, name)
             if not math.isfinite(_real(name, v)) or v < 0:
-                raise InvalidConfig(f"{name} must be >= 0, got {v}")
+                raise InvalidConfig(f"{name} must be >= 0 and finite, got {v}")
 
 
 @dataclass(frozen=True)

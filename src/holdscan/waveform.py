@@ -381,47 +381,40 @@ def format_value(v: float) -> str:
     return format(float(v), f".{CSV_DIGITS}g")
 
 
-# For k = -22..22 at index k + 22: 10**k as a factor (1 for k < 0) and 10**-k
-# as a divisor (1 for k >= 0).  Each power is exact in float64 (5**22 < 2**53).
-_UP = np.array([float(10**k) if k >= 0 else 1.0 for k in range(-22, 23)])
-_DOWN = np.array([float(10**-k) if k < 0 else 1.0 for k in range(-22, 23)])
+# 10**k for k = 0..22, each exact in float64 (5**22 < 2**53).
+_POW10 = np.array([float(10**k) for k in range(23)])
 
 
 def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
     """``float(format_value(v))`` for each value, bit for bit, without the text.
 
-    These are the values a reader gives for the writer's ``%.9g`` text.  For
-    finite non-zero ``x`` with ``e = floor(log10|x|)`` and ``k = 8 - e`` in
-    ``[-22, 22]``, ``10**|k|`` is exact, so ``y = |x| * 10**k`` (or
-    ``|x| / 10**-k``) is one correctly rounded operation: ``|y - exact| <=
-    0.5 ulp(y) < 6e-8`` for ``y`` below about ``1e9``.  Where ``m = rint(y)``
-    lies in ``[1e8, 1e9]`` and ``frac(y)`` is more than ``1e-6`` from 0.5,
-    ``m`` is the correctly rounded 9-digit mantissa (``m`` outside that range
-    means ``log10`` put ``x`` in the wrong decade).  ``m / 10**k`` (or
-    ``m * 10**-k``) is again one correctly rounded operation on exact
-    operands, so it is the float nearest the decimal ``m * 10**-k``, which
-    is what ``float()`` gives for the text.  Every other finite non-zero value
-    (``k`` out of range, ``m`` out of range, or a near-tie) goes through the
-    text itself, in one batch; zeros (with their sign) and infinities pass
-    through.  The result goes to ``out`` if given (not ``values`` itself).
-    The temporaries are as long as ``values``, so long arrays are best read
-    back in blocks that stay in cache.
+    Each ``x`` is scaled by an exact power, ``y = x * 10**k`` (``x / 10**-k``
+    for ``k < 0``), with ``k = 8 - floor(log10|x|)`` clipped to ``[-22, 22]``.
+    ``m = rint(y)`` is accepted where ``1e8 <= |y| < 1e9 + 0.5`` and ``|y - m|
+    < 0.5 - 1e-6``, and gives ``m / 10**k`` (``m * 10**-k``): one rounding of
+    exact operands, the float nearest the decimal ``m * 10**-k``, as
+    ``float()`` gives for the text.  This holds for any ``k``: ``y``, one
+    rounding below ``2**30``, is within ``2**-24 < 6e-8`` of ``x * 10**k``, so
+    ``m`` is its nearest integer, with no tie, and the ``%.9g`` mantissa; at
+    ``m = 1e8`` and ``m = 1e9`` the rounding carries across the decade to the
+    same value.  So the ``log10`` estimate decides only how many values are
+    accepted.  Every other finite non-zero value goes through the text, in
+    one batch; zeros and infinities pass through.  The result goes to
+    ``out`` if given (not ``values``).  Long arrays are best read in blocks.
     """
     x = np.asarray(values, dtype=np.float64)
-    a = np.abs(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))  # -inf for 0, inf for inf
-        ok = np.abs(e - 8.0) <= 22.0
-        e[~ok] = 8.0
-        i = (30.0 - e).astype(np.intp)  # k + 22
-        up, down = _UP[i], _DOWN[i]
-        # one of up and down is 1, so each line is one rounding
-        y = a * up / down
-        m = np.rint(y)
-        # |y - m| is 0.5 less the distance of frac(y) from 0.5
-        ok &= (m >= 1e8) & (m <= 1e9) & (np.abs(y - m) < 0.5 - 1e-6)
-        r = np.divide(m * down, up, out=out)
-    np.copysign(r, x, out=r)
+        k = 8.0 - np.floor(np.log10(np.abs(x)))  # inf for 0, -inf for inf
+        # 0, inf and nan give a y the rule refuses with any power
+        p = _POW10.take(np.abs(k).astype(np.intp), mode="clip")
+        # values of 1e9 and more; fmin passes over the k of nan
+        down = k < 0 if np.fmin.reduce(k, initial=0.0) < 0 else None
+        y = x * p if down is None else np.divide(x, p, out=x * p, where=down)
+        m, a = np.rint(y), np.abs(y)
+        ok = (a >= 1e8) & (a < 1e9 + 0.5) & (np.abs(y - m) < 0.5 - 1e-6)
+        r = np.divide(m, p, out=out)
+        if down is not None:
+            np.multiply(m, p, out=r, where=down)
     if not ok.all():
         j = np.flatnonzero(~ok)
         r[j] = x[j]

@@ -887,6 +887,54 @@ class TestNumericValues:
                               "--noise-sd-flow", "1e308"])
 
 
+class TestNegativeValues:
+    """A negative number in any notation ``float()`` takes is a flag's value."""
+
+    RECORDING = ["--seed", "6", "--duration-s", "10", "--hold", "4:1"]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("negative")
+        run_cli(["generate", *self.RECORDING, "-o", str(d / "w.csv")])
+        run_cli(["score", str(d / "w.csv"), "-o", str(d / "t.csv")])
+        run_cli(["detect", str(d / "t.csv"), "--waveform", str(d / "w.csv"), "-o", str(d / "s.ndjson")])
+        return d
+
+    @pytest.mark.parametrize("token", ["-inf", "-1e306", "-1.5E+1", "-1e1", "-15.5"])
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--peep-cmh2o"), ("score", "--mu-flow"), ("detect", "--log-threshold-off"),
+        ("report", "--peep"), ("pipeline", "--log-threshold-on"),
+    ])
+    def test_float_flag_of_each_command(self, files, command, flag, token):
+        w = str(files / "w.csv")
+        argv = {
+            "generate": ["generate", *self.RECORDING],
+            "score": ["score", w],
+            "detect": ["detect", str(files / "t.csv"), "--waveform", w],
+            "report": ["report", w, "--segments", str(files / "s.ndjson")],
+            "pipeline": ["pipeline", *self.RECORDING],
+        }[command]
+        got = run_cli([*argv, flag, token])
+        assert got[0] != 2, got[2]
+        assert got == run_cli([*argv, f"{flag}={token}"])
+
+    def test_minus_stays_stdin(self, files):
+        wave = (files / "w.csv").read_text()
+        got = run_cli(["score", "-", "--mu-flow", "-1e1"], stdin_text=wave)
+        assert got[0] == 0
+        assert got == run_cli(["score", str(files / "w.csv"), "--mu-flow=-10"])
+
+    def test_int_flag_refuses_float_notation(self):
+        code, _, err = run_cli(["pipeline", "--seed", "-1e3"])
+        assert code == 2
+        assert err == "error: holdscan pipeline: argument --seed: invalid int value: '-1e3'\n"
+
+    def test_unknown_short_flag(self):
+        code, _, err = run_cli(["pipeline", "--seed", "1", "-x"])
+        assert code == 2
+        assert err == "error: holdscan: unrecognized arguments: -x\n"
+
+
 class TestNoiseFree:
     # Every hold length of the benchmark's batch (0.5 to 5.9 s): with no
     # noise the hold's log-scores are all equal, and their mean must not

@@ -279,6 +279,10 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             DetectionConfig(merge_gap_s=float("inf"))
 
+    def test_infinite_duration_named_as_not_finite(self):
+        with pytest.raises(InvalidConfig, match=r"^min_duration_s must be >= 0 and finite, got inf$"):
+            DetectionConfig(min_duration_s=float("inf"))
+
 
 class TestDetectHolds:
     def test_all_quiet(self):

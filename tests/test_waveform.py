@@ -637,11 +637,33 @@ class TestReadBack:
         for name in ("t", "flow", "pressure", "volume"):
             assert _read_back(getattr(w, name)).tobytes() == getattr(loaded, name).tobytes()
 
-    @pytest.mark.parametrize("decades", [-1.0, 1.0])
+    # with the true decade estimate (0) and wrong ones: a log10 that puts
+    # values in the wrong decade must cost speed only
+    @pytest.mark.parametrize("decades", [-3.0, -1.0, 0.0, 1.0, 3.0])
     def test_wrong_decade_estimate_stays_exact(self, decades):
-        # a log10 that puts values in the wrong decade must cost speed only
+        # at the top of a decade, where the 9-digit rounding carries, and at
+        # the edges of the table of exact powers
+        edges = [999999996.0, 9.99999996, -0.0999999996, 9.99999997e-15, 1e31 * (1 + 1e-9),
+                 1e31 * (1 - 1e-9), 1e9 + 0.3, 999999999.5]
         values = np.array([0.1234567891, 98765.43215, -7.0000000049, 1.0, 999999999.7,
-                           1.234567891e200, -9.87654321e-250, 5e-324, 1.7976931348623157e308])
+                           1.234567891e200, -9.87654321e-250, 5e-324, 1.7976931348623157e308,
+                           *edges, *(-v for v in edges)])
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda a: log10(a) + decades):
+            got = _read_back(values)
+        assert got.tobytes() == _text_round_trip(values).tobytes()
+
+    # within 1e-8 relative of a power of ten, on either side, in every decade
+    # a float reaches, with the true decade estimate and wrong ones
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.integers(-320, 308), st.integers(-100, 100), st.booleans()).map(
+                lambda c: (-1.0 if c[2] else 1.0) * float(f"1e{c[0]}") * (1.0 + c[1] * 1e-10)),
+            min_size=1, max_size=60),
+        decades=st.sampled_from([0.0, -3.0, -1.0, 1.0, 3.0]),
+    )
+    def test_near_powers_of_ten(self, values, decades):
         log10 = np.log10
         with mock.patch.object(np, "log10", lambda a: log10(a) + decades):
             got = _read_back(values)
