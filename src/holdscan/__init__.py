@@ -38,7 +38,6 @@ from .mechanics import (
     MechanicsInput,
     estimate_compliance,
     estimate_resistance,
-    integrate_volume,
     report_hold,
 )
 from .mockgen import GroundTruth, MockConfig, generate_mock_waveform
@@ -86,7 +85,6 @@ __all__ = [
     "MechanicsInput",
     "estimate_compliance",
     "estimate_resistance",
-    "integrate_volume",
     "report_hold",
     "GroundTruth",
     "MockConfig",

@@ -115,76 +115,59 @@ class _Save:
 # argument plumbing
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    d = ModelParams()
-    p.add_argument("--mu-flow", type=float, default=d.mu_flow,
-                   help="hold-model mean flow in L/min (default %(default)s)")
-    p.add_argument("--var-flow", type=float, default=d.var_flow,
-                   help="hold-model flow variance in (L/min)^2 (default %(default)s)")
-    p.add_argument("--mu-pressure", type=float, default=d.mu_pressure,
-                   help="hold-model mean pressure in cmH2O (default %(default)s)")
-    p.add_argument("--var-pressure", type=float, default=d.var_pressure,
-                   help="hold-model pressure variance in (cmH2O)^2 (default %(default)s)")
+# Help of each configuration flag, by field name; {} is the field's default.
+_FIELD_HELP = {
+    "duration_s": "recording length in seconds (default {})",
+    "sample_rate_hz": "samples per second (default {})",
+    "respiratory_rate_bpm": "breaths per minute (default {})",
+    "i_to_e_ratio": "inspiration:expiration ratio (default {} = 1:2)",
+    "peak_flow_lpm": "peak inspiratory flow in L/min (default {})",
+    "peep_cmh2o": "baseline pressure in cmH2O (default {})",
+    "plateau_cmh2o": "hold plateau pressure in cmH2O (default {})",
+    "peak_pressure_cmh2o": "end-inspiratory pressure in cmH2O (default {})",
+    "noise_sd_flow": "flow noise SD in L/min (default {})",
+    "noise_sd_pressure": "pressure noise SD in cmH2O (default {})",
+    "mu_flow": "hold-model mean flow in L/min (default {})",
+    "var_flow": "hold-model flow variance in (L/min)^2 (default {})",
+    "mu_pressure": "hold-model mean pressure in cmH2O (default {})",
+    "var_pressure": "hold-model pressure variance in (cmH2O)^2 (default {})",
+    "log_threshold_on": "log-score opening a segment, nats (default {})",
+    "log_threshold_off": "log-score closing a segment, nats (default {})",
+    "min_duration_s": "discard segments shorter than this, seconds (default {})",
+    "merge_gap_s": "merge segments separated by less than this, seconds (default {})",
+}
 
 
-def _model_from_ns(ns: argparse.Namespace) -> ModelParams:
-    return ModelParams(
-        mu_flow=ns.mu_flow,
-        var_flow=ns.var_flow,
-        mu_pressure=ns.mu_pressure,
-        var_pressure=ns.var_pressure,
-    )
+def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
+    """A ``--name-with-dashes`` number flag for each field of the dataclass
+    ``cls`` that ``_FIELD_HELP`` names.  Its default is the field's, except
+    for ``MockConfig``, whose flags default to None so that ``--config`` can
+    set the field."""
+    for f in fields(cls):
+        if f.name in _FIELD_HELP:
+            p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                           default=None if cls is MockConfig else f.default,
+                           help=_FIELD_HELP[f.name].format(f.default))
 
 
-def _add_detection_flags(p: argparse.ArgumentParser) -> None:
-    d = DetectionConfig()
-    p.add_argument("--log-threshold-on", type=float, default=d.log_threshold_on,
-                   help="log-score opening a segment, nats (default %(default)s)")
-    p.add_argument("--log-threshold-off", type=float, default=d.log_threshold_off,
-                   help="log-score closing a segment, nats (default %(default)s)")
-    p.add_argument("--min-duration-s", type=float, default=d.min_duration_s,
-                   help="discard segments shorter than this, seconds (default %(default)s)")
-    p.add_argument("--merge-gap-s", type=float, default=d.merge_gap_s,
-                   help="merge segments separated by less than this, seconds (default %(default)s)")
-
-
-def _detection_from_ns(ns: argparse.Namespace) -> DetectionConfig:
-    return DetectionConfig(
-        log_threshold_on=ns.log_threshold_on,
-        log_threshold_off=ns.log_threshold_off,
-        min_duration_s=ns.min_duration_s,
-        merge_gap_s=ns.merge_gap_s,
-    )
+def _from_ns(cls, ns: argparse.Namespace, values=()):
+    """``cls`` from ``values``, a mapping of field names, updated with the
+    value of each field's flag that holds one."""
+    kwargs = dict(values)
+    kwargs.update((f.name, v) for f in fields(cls)
+                  if (v := getattr(ns, f.name, None)) is not None)
+    return cls(**kwargs)
 
 
 def _add_mock_flags(p: argparse.ArgumentParser) -> None:
-    d = MockConfig()
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed, 64-bit integer; required here or as rng_seed in --config")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="key = value file with MockConfig field names; flags override it")
-    p.add_argument("--duration-s", type=float, default=None,
-                   help=f"recording length in seconds (default {d.duration_s})")
-    p.add_argument("--sample-rate-hz", type=float, default=None,
-                   help=f"samples per second (default {d.sample_rate_hz})")
-    p.add_argument("--respiratory-rate-bpm", type=float, default=None,
-                   help=f"breaths per minute (default {d.respiratory_rate_bpm})")
-    p.add_argument("--i-to-e-ratio", type=float, default=None,
-                   help=f"inspiration:expiration ratio (default {d.i_to_e_ratio} = 1:2)")
-    p.add_argument("--peak-flow-lpm", type=float, default=None,
-                   help=f"peak inspiratory flow in L/min (default {d.peak_flow_lpm})")
-    p.add_argument("--peep-cmh2o", type=float, default=None,
-                   help=f"baseline pressure in cmH2O (default {d.peep_cmh2o})")
-    p.add_argument("--plateau-cmh2o", type=float, default=None,
-                   help=f"hold plateau pressure in cmH2O (default {d.plateau_cmh2o})")
-    p.add_argument("--peak-pressure-cmh2o", type=float, default=None,
-                   help=f"end-inspiratory pressure in cmH2O (default {d.peak_pressure_cmh2o})")
-    p.add_argument("--noise-sd-flow", type=float, default=None,
-                   help=f"flow noise SD in L/min (default {d.noise_sd_flow})")
-    p.add_argument("--noise-sd-pressure", type=float, default=None,
-                   help=f"pressure noise SD in cmH2O (default {d.noise_sd_pressure})")
+    _add_field_flags(p, MockConfig)
+    start, duration = MockConfig().holds[0]
     p.add_argument("--hold", action="append", default=None, metavar="START:DURATION",
-                   help=f"hold interval in seconds, repeatable (default {d.holds[0][0]}:{d.holds[0][1]})")
+                   help=f"hold interval in seconds, repeatable (default {start}:{duration})")
 
 
 def _parse_config_file(text: str) -> dict:
@@ -221,38 +204,21 @@ def _parse_hold_spec(spec: str) -> tuple[float, float]:
 
 
 def _mock_config_from(ns: argparse.Namespace) -> MockConfig:
-    from_file: dict = {}
+    values: dict = {}
     if ns.config is not None:
         try:
             with open(ns.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise InvalidConfig(f"config {ns.config} is not UTF-8 text: {exc}") from None
-        from_file = _parse_config_file(text)
-
-    kwargs: dict = {}
-    for name in _MOCK_FIELD_NAMES:
-        if name in ("holds", "rng_seed"):
-            continue
-        flag_value = getattr(ns, name)
-        if flag_value is not None:
-            kwargs[name] = flag_value
-        elif name in from_file:
-            kwargs[name] = from_file[name]
-
+        values = _parse_config_file(text)
     if ns.hold is not None:
-        kwargs["holds"] = tuple(_parse_hold_spec(s) for s in ns.hold)
-    elif "holds" in from_file:
-        kwargs["holds"] = from_file["holds"]
-
+        values["holds"] = tuple(_parse_hold_spec(s) for s in ns.hold)
     if ns.seed is not None:
-        kwargs["rng_seed"] = ns.seed
-    elif "rng_seed" in from_file:
-        kwargs["rng_seed"] = from_file["rng_seed"]
-    else:
+        values["rng_seed"] = ns.seed
+    elif "rng_seed" not in values:
         raise _UsageError("a seed is required: pass --seed or rng_seed in --config")
-
-    return MockConfig(**kwargs)
+    return _from_ns(MockConfig, ns, values)
 
 
 def _read_input(path: str, stdin) -> str:
@@ -291,7 +257,7 @@ def _cmd_generate(ns, stdin, stdout, stderr) -> int:
 
 def _cmd_score(ns, stdin, stdout, stderr) -> int:
     w = load_waveform_csv(_read_input(ns.waveform, stdin), ns.expected_rate_hz)
-    trace = score_series(w, _model_from_ns(ns))
+    trace = score_series(w, _from_ns(ModelParams, ns))
     buf = io.StringIO()
     write_score_trace_csv(w.t, trace, buf, linear=ns.linear)
     _write_output(ns.output, buf.getvalue(), stdout)
@@ -305,7 +271,7 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
     wave_text = _read_input(ns.waveform, stdin)
     _, trace = load_score_trace_csv(trace_text, ns.expected_rate_hz)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    config = _detection_from_ns(ns)
+    config = _from_ns(DetectionConfig, ns)
     if len(w) != len(trace):
         raise MalformedRow(
             f"trace has {len(trace)} rows but waveform has {len(w)} samples"
@@ -338,7 +304,7 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
 
 def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    params, config = _model_from_ns(ns), _detection_from_ns(ns)
+    params, config = _from_ns(ModelParams, ns), _from_ns(DetectionConfig, ns)
     peep = _check_peep(ns.peep)
     saves: dict[str, _Save] = {}
     try:
@@ -377,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("score", help="score each sample of a waveform CSV")
     s.add_argument("waveform", help="waveform CSV path, or - for stdin")
-    _add_model_flags(s)
+    _add_field_flags(s, ModelParams)
     s.add_argument("--linear", action="store_true",
                    help="append a linear score column (exp of log_score, underflows to 0)")
     s.add_argument("--expected-rate-hz", type=float, default=None,
@@ -390,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dt.add_argument("trace", help="score CSV path, or - for stdin")
     dt.add_argument("--waveform", required=True, metavar="PATH",
                     help="source waveform CSV (for per-segment channel means)")
-    _add_detection_flags(dt)
+    _add_field_flags(dt, DetectionConfig)
     dt.add_argument("--expected-rate-hz", type=float, default=None,
                     help="declared sample rate in Hz; inferred from spacing when omitted")
     dt.add_argument("-o", "--output", default=None, metavar="PATH",
@@ -411,8 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("pipeline", help="generate, score, detect, and report in one run")
     _add_mock_flags(pl)
-    _add_model_flags(pl)
-    _add_detection_flags(pl)
+    _add_field_flags(pl, ModelParams)
+    _add_field_flags(pl, DetectionConfig)
     pl.add_argument("--peep", type=float, default=None,
                     help="known PEEP in cmH2O; estimated from pre-hold pressure when omitted")
     pl.add_argument("--ground-truth", default=None, metavar="PATH",

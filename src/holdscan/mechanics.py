@@ -19,7 +19,7 @@ pressure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import (
 )
 from .detection import _window_mean
 from .waveform import Waveform, _check_span
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 # Pre-hold window for peak pressure and end-inspiratory flow, seconds.
 PRE_WINDOW_S = 1.0
@@ -60,26 +58,10 @@ class MechanicsInput:
     end_inspiratory_flow: float  # L/s
 
     def __post_init__(self) -> None:
-        for name in (
-            "plateau_pressure",
-            "peak_pressure",
-            "peep",
-            "tidal_volume",
-            "end_inspiratory_flow",
-        ):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise NonFiniteInput(f"{name} must be finite, got {v}")
-
-
-def integrate_volume(w: Waveform, start_index: int, end_index_exclusive: int) -> float:
-    """Trapezoidal integral of flow over [start, end), in litres."""
-    if not (0 <= start_index < end_index_exclusive <= len(w)):
-        raise InvalidRange(
-            f"window [{start_index}, {end_index_exclusive}) out of bounds for {len(w)} samples"
-        )
-    sl = slice(start_index, end_index_exclusive)
-    return float(_trapezoid(w.flow[sl] / 60.0, w.t[sl]))
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(_real(f.name, v)):
+                raise NonFiniteInput(f"{f.name} must be finite, got {v}")
 
 
 def estimate_compliance(inputs: MechanicsInput) -> float:
@@ -108,26 +90,24 @@ def _samples(seconds: float, rate: float) -> int:
     return int(round(min(seconds * rate, 2.0**62)))
 
 
-def _window_before(w: Waveform, index: int, window_s: float) -> slice | None:
-    lo = max(0, index - _samples(window_s, w.sample_rate_hz))
+def _window_before(w: Waveform, index: int) -> slice | None:
+    lo = max(0, index - _samples(PRE_WINDOW_S, w.sample_rate_hz))
     if lo >= index:
         return None
     return slice(lo, index)
 
 
-def peak_pressure_before(w: Waveform, index: int, window_s: float = PRE_WINDOW_S) -> float | None:
+def peak_pressure_before(w: Waveform, index: int) -> float | None:
     """Maximum pressure in the window before ``index``; None if empty."""
-    sl = _window_before(w, index, window_s)
+    sl = _window_before(w, index)
     if sl is None:
         return None
     return float(np.max(w.pressure[sl]))
 
 
-def last_positive_flow_before(
-    w: Waveform, index: int, window_s: float = PRE_WINDOW_S
-) -> float | None:
+def last_positive_flow_before(w: Waveform, index: int) -> float | None:
     """Last strictly positive flow in the window, converted to L/s."""
-    sl = _window_before(w, index, window_s)
+    sl = _window_before(w, index)
     if sl is None:
         return None
     window = w.flow[sl]
@@ -137,9 +117,7 @@ def last_positive_flow_before(
     return float(window[positive[-1]]) / 60.0
 
 
-def tidal_volume_before(
-    w: Waveform, index: int, lookback_s: float = VOLUME_LOOKBACK_S
-) -> float | None:
+def tidal_volume_before(w: Waveform, index: int) -> float | None:
     """Volume rise from the lookback minimum to ``index``; None if not positive.
 
     Uses the recorded volume channel when present, otherwise integrates flow
@@ -148,7 +126,7 @@ def tidal_volume_before(
     """
     if index < 0 or index >= len(w):
         raise InvalidRange(f"index {index} out of bounds for {len(w)} samples")
-    lo = max(0, index - _samples(lookback_s, w.sample_rate_hz))
+    lo = max(0, index - _samples(VOLUME_LOOKBACK_S, w.sample_rate_hz))
     if w.volume is not None:
         vol = w.volume[lo : index + 1]
     else:
@@ -162,19 +140,14 @@ def tidal_volume_before(
     return rise
 
 
-def peep_estimate(
-    w: Waveform,
-    index: int,
-    lookback_s: float = VOLUME_LOOKBACK_S,
-    percentile: float = PEEP_PERCENTILE,
-) -> float:
+def peep_estimate(w: Waveform, index: int) -> float:
     """Low percentile of pre-hold pressure as the PEEP baseline."""
-    lo = max(0, index - _samples(lookback_s, w.sample_rate_hz))
+    lo = max(0, index - _samples(VOLUME_LOOKBACK_S, w.sample_rate_hz))
     window = w.pressure[lo : index + 1]
-    peep = float(np.percentile(window, percentile))
+    peep = float(np.percentile(window, PEEP_PERCENTILE))
     if not math.isfinite(peep):
         # the gap between two neighbouring values left the float range
-        peep = float(np.percentile(window / 2.0, percentile)) * 2.0
+        peep = float(np.percentile(window / 2.0, PEEP_PERCENTILE)) * 2.0
     return peep
 
 

@@ -31,14 +31,13 @@ from typing import IO
 import numpy as np
 
 from .errors import (
-    InvalidConfig,
     InvalidRange,
     MalformedRow,
     NonFiniteInput,
     NonPositiveVariance,
     _real,
 )
-from .waveform import Waveform, _read_table, _write_rows, check_time_grid
+from .waveform import Waveform, _check_rate, _read_table, _write_rows, check_time_grid
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
@@ -84,10 +83,7 @@ class ScoreTrace:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "log_scores", arr)
-        if not math.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0:
-            raise InvalidConfig(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
-            )
+        _check_rate(_real("sample_rate_hz", self.sample_rate_hz))
 
     def __len__(self) -> int:
         return len(self.log_scores)

@@ -48,7 +48,7 @@ from .mechanics import VOLUME_LOOKBACK_S, _samples, report_hold
 from .mockgen import MockConfig, _blocks, _sample_count
 from .scoring import _TRACE_HEADER, ModelParams, _check_log_scores, _log_scores_array
 from .waveform import (
-    _HEADER_VOLUME,
+    _CHANNELS,
     Waveform,
     _BlockCheck,
     _check_rate,
@@ -180,7 +180,7 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
             checks.raise_first(rate)
             _check_log_scores(read[4])
             if save_waveform is not None:
-                _write_rows(save_waveform, _HEADER_VOLUME if start == 0 else None, read[:4])
+                _write_rows(save_waveform, _CHANNELS if start == 0 else None, read[:4])
             if save_trace is not None:
                 _write_rows(save_trace, _TRACE_HEADER if start == 0 else None, read[::4])
             reports.feed(read)

@@ -44,11 +44,11 @@ SPACING_RTOL = 1e-6
 # Significant digits used when serializing values to CSV.
 CSV_DIGITS = 9
 
-# The channels of a waveform, in the order its checks visit them.
+# The channels of a waveform, in the order its checks visit them; also the
+# CSV header of a waveform with volume.
 _CHANNELS = ("t", "flow", "pressure", "volume")
 
-_HEADER_BASE = ("t", "flow", "pressure")
-_HEADER_VOLUME = ("t", "flow", "pressure", "volume")
+_HEADER_BASE = _CHANNELS[:3]
 
 # Rows formatted by one string operation in the writer; bounds its temporaries.
 _ROWS_PER_CHUNK = 8192
@@ -68,7 +68,7 @@ class Waveform:
     volume: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("t", "flow", "pressure", "volume"):
+        for name in _CHANNELS:
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -91,7 +91,7 @@ class Waveform:
         :class:`_BlockCheck` has passed them at ``sample_rate_hz``.
         """
         w = object.__new__(cls)
-        for name, arr in (("t", t), ("flow", flow), ("pressure", pressure), ("volume", volume)):
+        for name, arr in zip(_CHANNELS, (t, flow, pressure, volume)):
             if arr is not None:
                 arr = arr.view()
                 arr.flags.writeable = False
@@ -139,7 +139,7 @@ def validate_waveform(w: Waveform) -> None:
     n = len(w.t)
     if n == 0:
         raise EmptyInput("waveform has no samples")
-    for name in ("flow", "pressure", "volume"):
+    for name in _CHANNELS[1:]:
         arr = getattr(w, name)
         if arr is not None and len(arr) != n:
             raise MalformedRow(f"channel {name!r} length differs from t")
@@ -369,7 +369,7 @@ def load_waveform_csv(source, expected_rate_hz: float | None = None) -> Waveform
     :func:`check_time_grid`).  Raises the usual taxonomy errors on malformed
     or inconsistent input.
     """
-    _, rows = _read_table(source, (_HEADER_BASE, _HEADER_VOLUME), _waveform_row_problem)
+    _, rows = _read_table(source, (_HEADER_BASE, _CHANNELS), _waveform_row_problem)
     # one contiguous row per channel; the reader has refused non-finite values
     t, flow, pressure, *volume = rows.T.copy()
     rate = check_time_grid(t, expected_rate_hz)
@@ -385,7 +385,7 @@ def format_value(v: float) -> str:
 _POW10 = np.array([float(10**k) for k in range(23)])
 
 
-def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
+def _read_back(values) -> np.ndarray:
     """``float(format_value(v))`` for each value, bit for bit, without the text.
 
     Each ``x`` is scaled by an exact power, ``y = x * 10**k`` (``x / 10**-k``
@@ -399,8 +399,8 @@ def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
     ``m = 1e8`` and ``m = 1e9`` the rounding carries across the decade to the
     same value.  So the ``log10`` estimate decides only how many values are
     accepted.  Every other finite non-zero value goes through the text, in
-    one batch; zeros and infinities pass through.  The result goes to
-    ``out`` if given (not ``values``).  Long arrays are best read in blocks.
+    one batch; zeros and infinities pass through.  Long arrays are best read
+    in blocks.
     """
     x = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -412,7 +412,7 @@ def _read_back(values, out: np.ndarray | None = None) -> np.ndarray:
         y = x * p if down is None else np.divide(x, p, out=x * p, where=down)
         m, a = np.rint(y), np.abs(y)
         ok = (a >= 1e8) & (a < 1e9 + 0.5) & (np.abs(y - m) < 0.5 - 1e-6)
-        r = np.divide(m, p, out=out)
+        r = m / p
         if down is not None:
             np.multiply(m, p, out=r, where=down)
     if not ok.all():
@@ -473,7 +473,7 @@ def write_waveform_csv(w: Waveform, stream: IO[str]) -> None:
     if w.volume is None:
         _write_rows(stream, _HEADER_BASE, (w.t, w.flow, w.pressure))
     else:
-        _write_rows(stream, _HEADER_VOLUME, (w.t, w.flow, w.pressure, w.volume))
+        _write_rows(stream, _CHANNELS, (w.t, w.flow, w.pressure, w.volume))
 
 
 def waveform_to_csv(w: Waveform) -> str:

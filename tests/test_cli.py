@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -121,6 +122,132 @@ class TestParserCache:
         with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
             run_cli(["pipeline", "--help"])
         assert texts[0] == texts[1] != texts[2] == capsys.readouterr().out
+
+
+# Each subcommand's actions: option strings, dest, default, type, metavar and
+# help with %(default)s expanded.
+_HELP_FLAG = (("-h", "--help"), "help", argparse.SUPPRESS, None, None,
+              "show this help message and exit")
+_MOCK_FLAGS = [
+    (("--seed",), "seed", None, "int", None,
+     "RNG seed, 64-bit integer; required here or as rng_seed in --config"),
+    (("--config",), "config", None, None, "PATH",
+     "key = value file with MockConfig field names; flags override it"),
+    (("--duration-s",), "duration_s", None, "float", None,
+     "recording length in seconds (default 90.0)"),
+    (("--sample-rate-hz",), "sample_rate_hz", None, "float", None,
+     "samples per second (default 100.0)"),
+    (("--respiratory-rate-bpm",), "respiratory_rate_bpm", None, "float", None,
+     "breaths per minute (default 15.0)"),
+    (("--i-to-e-ratio",), "i_to_e_ratio", None, "float", None,
+     "inspiration:expiration ratio (default 0.5 = 1:2)"),
+    (("--peak-flow-lpm",), "peak_flow_lpm", None, "float", None,
+     "peak inspiratory flow in L/min (default 60.0)"),
+    (("--peep-cmh2o",), "peep_cmh2o", None, "float", None,
+     "baseline pressure in cmH2O (default 5.0)"),
+    (("--plateau-cmh2o",), "plateau_cmh2o", None, "float", None,
+     "hold plateau pressure in cmH2O (default 15.0)"),
+    (("--peak-pressure-cmh2o",), "peak_pressure_cmh2o", None, "float", None,
+     "end-inspiratory pressure in cmH2O (default 20.0)"),
+    (("--noise-sd-flow",), "noise_sd_flow", None, "float", None,
+     "flow noise SD in L/min (default 1.0)"),
+    (("--noise-sd-pressure",), "noise_sd_pressure", None, "float", None,
+     "pressure noise SD in cmH2O (default 1.0)"),
+    (("--hold",), "hold", None, None, "START:DURATION",
+     "hold interval in seconds, repeatable (default 45.0:2.0)"),
+]
+_MODEL_FLAGS = [
+    (("--mu-flow",), "mu_flow", 0.0, "float", None,
+     "hold-model mean flow in L/min (default 0.0)"),
+    (("--var-flow",), "var_flow", 1.0, "float", None,
+     "hold-model flow variance in (L/min)^2 (default 1.0)"),
+    (("--mu-pressure",), "mu_pressure", 15.0, "float", None,
+     "hold-model mean pressure in cmH2O (default 15.0)"),
+    (("--var-pressure",), "var_pressure", 1.0, "float", None,
+     "hold-model pressure variance in (cmH2O)^2 (default 1.0)"),
+]
+_DETECTION_FLAGS = [
+    (("--log-threshold-on",), "log_threshold_on", -10.0, "float", None,
+     "log-score opening a segment, nats (default -10.0)"),
+    (("--log-threshold-off",), "log_threshold_off", -14.0, "float", None,
+     "log-score closing a segment, nats (default -14.0)"),
+    (("--min-duration-s",), "min_duration_s", 0.3, "float", None,
+     "discard segments shorter than this, seconds (default 0.3)"),
+    (("--merge-gap-s",), "merge_gap_s", 0.1, "float", None,
+     "merge segments separated by less than this, seconds (default 0.1)"),
+]
+_RATE_FLAG = (("--expected-rate-hz",), "expected_rate_hz", None, "float", None,
+              "declared sample rate in Hz; inferred from spacing when omitted")
+_PEEP_FLAG = (("--peep",), "peep", None, "float", None,
+              "known PEEP in cmH2O; estimated from pre-hold pressure when omitted")
+_GROUND_TRUTH_FLAG = (("--ground-truth",), "ground_truth", None, None, "PATH",
+                      "also write true hold intervals as NDJSON to PATH")
+
+
+def _output_flag(what):
+    return (("-o", "--output"), "output", None, None, "PATH",
+            f"{what} destination (default stdout)")
+
+
+_FLAGS = {
+    "generate": [_HELP_FLAG, *_MOCK_FLAGS, _GROUND_TRUTH_FLAG, _output_flag("waveform CSV")],
+    "score": [
+        _HELP_FLAG,
+        ((), "waveform", None, None, None, "waveform CSV path, or - for stdin"),
+        *_MODEL_FLAGS,
+        (("--linear",), "linear", False, None, None,
+         "append a linear score column (exp of log_score, underflows to 0)"),
+        _RATE_FLAG,
+        _output_flag("score CSV"),
+    ],
+    "detect": [
+        _HELP_FLAG,
+        ((), "trace", None, None, None, "score CSV path, or - for stdin"),
+        (("--waveform",), "waveform", None, None, "PATH",
+         "source waveform CSV (for per-segment channel means)"),
+        *_DETECTION_FLAGS,
+        _RATE_FLAG,
+        _output_flag("segment NDJSON"),
+    ],
+    "report": [
+        _HELP_FLAG,
+        ((), "waveform", None, None, None, "waveform CSV path, or - for stdin"),
+        (("--segments",), "segments", None, None, "PATH", "segment NDJSON path, or - for stdin"),
+        _PEEP_FLAG,
+        _RATE_FLAG,
+        _output_flag("report NDJSON"),
+    ],
+    "pipeline": [
+        _HELP_FLAG, *_MOCK_FLAGS, *_MODEL_FLAGS, *_DETECTION_FLAGS, _PEEP_FLAG, _GROUND_TRUTH_FLAG,
+        (("--save-waveform",), "save_waveform", None, None, "PATH",
+         "also write the intermediate waveform CSV to PATH"),
+        (("--save-trace",), "save_trace", None, None, "PATH",
+         "also write the intermediate score CSV to PATH"),
+        (("--save-segments",), "save_segments", None, None, "PATH",
+         "also write the intermediate segment NDJSON to PATH"),
+        _output_flag("report NDJSON"),
+    ],
+}
+
+
+class TestFlags:
+    """Each subcommand's flags, defaults and help, as the parser holds them."""
+
+    @staticmethod
+    def _subparsers():
+        parser = cli._build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_commands(self):
+        assert list(self._subparsers()) == list(_FLAGS)
+
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    def test_actions(self, command):
+        p = self._subparsers()[command]
+        formatter = p._get_formatter()
+        got = [(tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", a.type),
+                a.metavar, formatter._expand_help(a)) for a in p._actions]
+        assert got == _FLAGS[command]
 
 
 class TestGenerate:

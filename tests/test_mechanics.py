@@ -21,7 +21,6 @@ from holdscan import (
     estimate_compliance,
     estimate_resistance,
     generate_mock_waveform,
-    integrate_volume,
     load_waveform_csv,
     report_hold,
     score_series,
@@ -48,37 +47,6 @@ def mk_inputs(plateau=15.0, peak=20.0, peep=5.0, vt=0.5, flow=0.5):
     )
 
 
-class TestIntegrateVolume:
-    def test_constant_flow(self):
-        w = make_waveform(np.full(101, 60.0), np.full(101, 15.0))
-        assert integrate_volume(w, 0, 101) == pytest.approx(1.0, abs=1e-9)
-
-    def test_linear_ramp(self):
-        # trapezoid rule is exact on linear integrands
-        flow = 60.0 * np.arange(101) / 100.0
-        w = make_waveform(flow, np.full(101, 15.0))
-        assert integrate_volume(w, 0, 101) == pytest.approx(0.5, abs=1e-9)
-
-    def test_zero_flow(self):
-        w = make_waveform(np.zeros(50), np.full(50, 15.0))
-        assert integrate_volume(w, 0, 50) == 0.0
-
-    def test_subwindow(self):
-        w = make_waveform(np.full(101, 60.0), np.full(101, 15.0))
-        assert integrate_volume(w, 25, 76) == pytest.approx(0.5, abs=1e-9)
-
-    def test_bad_ranges(self):
-        w = make_waveform(np.zeros(10), np.full(10, 15.0))
-        with pytest.raises(InvalidRange):
-            integrate_volume(w, -1, 5)
-        with pytest.raises(InvalidRange):
-            integrate_volume(w, 0, 11)
-        with pytest.raises(InvalidRange):
-            integrate_volume(w, 5, 5)
-        with pytest.raises(InvalidRange):
-            integrate_volume(w, 7, 3)
-
-
 class TestCompliance:
     def test_textbook_value(self):
         assert estimate_compliance(mk_inputs(vt=0.5, plateau=15.0, peep=5.0)) == 0.05
@@ -102,6 +70,13 @@ class TestCompliance:
             mk_inputs(plateau=float("nan"))
         with pytest.raises(NonFiniteInput):
             mk_inputs(vt=float("inf"))
+
+    # text, None and an integer beyond the float range are no real inputs
+    @pytest.mark.parametrize("field, value", [("plateau", "x"), ("peep", None),
+                                               pytest.param("vt", 2**1100, id="vt-2**1100")])
+    def test_non_real_inputs_rejected_at_construction(self, field, value):
+        with pytest.raises(InvalidConfig):
+            mk_inputs(**{field: value})
 
     @settings(max_examples=200)
     @given(
@@ -188,11 +163,15 @@ class TestPreHoldHelpers:
         assert tidal_volume_before(w, n - 1) == pytest.approx(0.45, abs=1e-12)
 
     def test_tidal_volume_integrates_when_channel_missing(self):
-        # 60 L/min for the final second, zero before: 1 L plus the half-step
-        # trapezoid contribution of the 0 -> 60 transition sample
-        flow = np.concatenate([np.zeros(100), np.full(101, 60.0)])
-        w = make_waveform(flow, np.full(201, 15.0))
-        assert tidal_volume_before(w, 200) == pytest.approx(1.005, abs=1e-9)
+        for flow, litres in [
+            # 60 L/min for the final second, zero before: 1 L plus the half-step
+            # trapezoid contribution of the 0 -> 60 transition sample
+            (np.concatenate([np.zeros(100), np.full(101, 60.0)]), 1.005),
+            # a ramp from 0 to 60 L/min over 1 s, on which the trapezoid rule is exact
+            (60.0 * np.arange(101) / 100.0, 0.5),
+        ]:
+            w = make_waveform(flow, np.full(len(flow), 15.0))
+            assert tidal_volume_before(w, len(flow) - 1) == pytest.approx(litres, abs=1e-9)
 
     def test_tidal_volume_none_when_falling(self):
         volume = np.linspace(1.0, 0.0, 100)

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import make_waveform
 from holdscan import (
     HoldscanError,
+    InvalidConfig,
     InvalidRange,
     MalformedRow,
     ModelParams,
     NonFiniteInput,
     NonPositiveVariance,
     ScoreTrace,
+    Waveform,
     gaussian_pdf,
     load_score_trace_csv,
     log_score_sample,
@@ -248,6 +250,15 @@ class TestScoreSeries:
             ScoreTrace(log_scores=np.array([0.0, np.inf]), sample_rate_hz=100.0)
         trace = ScoreTrace(log_scores=np.array([0.0, -np.inf]), sample_rate_hz=100.0)
         assert trace.log_scores[1] == -np.inf
+
+    # the rate rule of a waveform: at 5e-324 the spacing 1 / rate overflows
+    @pytest.mark.parametrize("rate", [0, -1, math.nan, math.inf, 5e-324, "x", None,
+                                      pytest.param(2**1100, id="2**1100")])
+    def test_trace_rejects_rate_as_waveform_does(self, rate):
+        with pytest.raises(InvalidConfig):
+            ScoreTrace(log_scores=np.array([0.0]), sample_rate_hz=rate)
+        with pytest.raises(InvalidConfig):
+            Waveform(t=[0.0], flow=[0.0], pressure=[15.0], sample_rate_hz=rate)
 
 
 class TestSquareOverflow:
