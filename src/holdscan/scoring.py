@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveVariance,
     _real,
 )
-from .waveform import Waveform, _check_rate, _read_table, _write_rows, check_time_grid
+from .waveform import Waveform, _channel, _check_rate, _read_table, _write_rows, check_time_grid
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
@@ -76,14 +76,12 @@ class ScoreTrace:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.log_scores, dtype=np.float64)
-        if arr.ndim != 1:
-            raise MalformedRow("log_scores must be 1-dimensional")
+        arr = _channel("log_scores", self.log_scores)
         _check_log_scores(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "log_scores", arr)
-        _check_rate(_real("sample_rate_hz", self.sample_rate_hz))
+        _check_rate(self.sample_rate_hz)
 
     def __len__(self) -> int:
         return len(self.log_scores)

@@ -51,7 +51,6 @@ from .waveform import (
     _CHANNELS,
     Waveform,
     _BlockCheck,
-    _check_rate,
     _read_back,
     _read_back_threshold,
     _span_rate,
@@ -93,12 +92,11 @@ class _HoldReports:
     ``[a, b)`` it finishes is summarized and reported on samples
     ``[a - lookback, b)`` (``lookback`` samples make ``VOLUME_LOOKBACK_S``
     at the rate), its volume and log-scores read back, which gives the
-    report of the whole recording.  Between blocks only what a segment still
-    to be reported can need is kept: the samples from ``lookback`` before
-    the scan's current run, or before its position when no run is open or
-    pending.  That is a ring of the last ``lookback``
-    samples, plus the samples of the run, kept as views of the blocks they
-    lie in.
+    report of the whole recording.  Between blocks only the blocks that hold
+    what a segment still to be reported can need are kept: the samples from
+    ``lookback`` before the scan's current run, or before its position when
+    no run is open or pending.  That is a ring of the last ``lookback``
+    samples, plus the samples of the run.
     """
 
     def __init__(self, config: DetectionConfig, rate: float, peep: float | None,
@@ -122,14 +120,8 @@ class _HoldReports:
             self._report(a, b)
         # drop what no segment can need any more
         lo = max(0, self._scan.keep_from - self._lookback)
-        chunks = self._chunks
-        drop = 0
-        while drop < len(chunks) and chunks[drop][0] + len(chunks[drop][1][0]) <= lo:
-            drop += 1
-        del chunks[:drop]
-        if chunks and chunks[0][0] < lo:
-            s, chans = chunks[0]
-            chunks[0] = (lo, [c[lo - s :] for c in chans])
+        while self._chunks and self._chunks[0][0] + len(self._chunks[0][1][0]) <= lo:
+            del self._chunks[0]
 
     def finish(self) -> str:
         """The report text of all segments."""
@@ -172,7 +164,6 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     try:
         # the hold scan needs the rate before the first block
         rate = _pipeline_rate(cfg, n)
-        _check_rate(rate)
         checks = _BlockCheck()
         reports = _HoldReports(config, rate, peep, save_segments)
         for start, _, read in _read_back_blocks(cfg, params, n):

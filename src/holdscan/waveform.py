@@ -70,12 +70,9 @@ class Waveform:
     def __post_init__(self) -> None:
         for name in _CHANNELS:
             arr = getattr(self, name)
-            if arr is None:
+            if arr is None and name == "volume":
                 continue
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.ndim != 1:
-                raise MalformedRow(f"channel {name!r} must be 1-dimensional")
-            arr = arr.copy()
+            arr = _channel(f"channel {name!r}", arr).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         validate_waveform(self)
@@ -98,6 +95,19 @@ class Waveform:
             object.__setattr__(w, name, arr)
         object.__setattr__(w, "sample_rate_hz", sample_rate_hz)
         return w
+
+
+def _channel(label: str, values) -> np.ndarray:
+    """``values`` as a 1-D float64 array, not copied; ``label`` names the channel in errors."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise MalformedRow(f"{label} must be 1-dimensional") from None
+    if arr.dtype.kind not in "biuf":
+        raise MalformedRow(f"{label} must hold real numbers, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise MalformedRow(f"{label} must be 1-dimensional")
+    return arr.astype(np.float64, copy=False)
 
 
 def _backward(index: int, before: float, after: float) -> NonMonotonicTime:
@@ -126,12 +136,15 @@ def _check_span(w: Waveform, start: int, end: int, offset: int = 0) -> None:
         raise InvalidRange(f"segment [{start}, {end}) exceeds waveform {held}")
 
 
-def _check_rate(rate: float, name: str = "sample_rate_hz") -> None:
+def _check_rate(rate, name: str = "sample_rate_hz") -> float:
+    """``rate`` as a float; refused unless real, positive and finite, with ``1 / rate`` finite."""
+    rate = _real(name, rate)
     # a rate whose spacing 1 / rate overflows would pass any grid
-    if not (0 < rate < math.inf and 1 / float(rate) < math.inf):
+    if not (0 < rate < math.inf and 1 / rate < math.inf):
         raise InvalidConfig(
             f"{name} must be positive and finite, with a finite spacing 1 / rate, got {rate}"
         )
+    return rate
 
 
 def validate_waveform(w: Waveform) -> None:
@@ -146,7 +159,7 @@ def validate_waveform(w: Waveform) -> None:
     check = _BlockCheck()
     check.feed(w.t, w.flow, w.pressure, w.volume)
     # a rate that is no number is refused here, not inferred
-    check.raise_first(_real("sample_rate_hz", w.sample_rate_hz))
+    check.raise_first(_check_rate(w.sample_rate_hz))
 
 
 class _BlockCheck:
@@ -251,8 +264,7 @@ def check_time_grid(t: np.ndarray, expected_rate_hz: float | None = None) -> flo
     no spacing information and requires an explicit rate.
     """
     if expected_rate_hz is not None:
-        _check_rate(expected_rate_hz, "expected_rate_hz")
-        expected_rate_hz = float(expected_rate_hz)
+        expected_rate_hz = _check_rate(expected_rate_hz, "expected_rate_hz")
     if len(t) == 0:
         raise EmptyInput("no timestamps")
     check = _BlockCheck()
@@ -388,33 +400,29 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 def _read_back(values) -> np.ndarray:
     """``float(format_value(v))`` for each value, bit for bit, without the text.
 
-    Each ``x`` is scaled by an exact power, ``y = x * 10**k`` (``x / 10**-k``
-    for ``k < 0``), with ``k = 8 - floor(log10|x|)`` clipped to ``[-22, 22]``.
-    ``m = rint(y)`` is accepted where ``1e8 <= |y| < 1e9 + 0.5`` and ``|y - m|
-    < 0.5 - 1e-6``, and gives ``m / 10**k`` (``m * 10**-k``): one rounding of
-    exact operands, the float nearest the decimal ``m * 10**-k``, as
-    ``float()`` gives for the text.  This holds for any ``k``: ``y``, one
-    rounding below ``2**30``, is within ``2**-24 < 6e-8`` of ``x * 10**k``, so
-    ``m`` is its nearest integer, with no tie, and the ``%.9g`` mantissa; at
-    ``m = 1e8`` and ``m = 1e9`` the rounding carries across the decade to the
-    same value.  So the ``log10`` estimate decides only how many values are
-    accepted.  Every other finite non-zero value goes through the text, in
+    Each ``x`` is scaled by an exact power, ``y = x * 10**k``, with ``k = 8 -
+    floor(log10|x|)`` clipped to ``[0, 22]``.  ``m = rint(y)`` is accepted
+    where ``1e8 <= |y| < 1e9 + 0.5`` and ``|y - m| < 0.5 - 1e-6``, and gives
+    ``m / 10**k``: one rounding of exact operands, the float nearest the
+    decimal ``m * 10**-k``, as ``float()`` gives for the text.  This holds
+    for any such ``k``: ``y``, one rounding below ``2**30``, is within
+    ``2**-24 < 6e-8`` of ``x * 10**k``, so ``m`` is its nearest integer, with
+    no tie, and the ``%.9g`` mantissa; at ``m = 1e8`` and ``m = 1e9`` the
+    rounding carries across the decade to the same value.  So the ``log10``
+    estimate decides only how many values are accepted.  Every other finite
+    non-zero value, 1e9 + 0.5 and more among them, goes through the text, in
     one batch; zeros and infinities pass through.  Long arrays are best read
     in blocks.
     """
     x = np.asarray(values, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         k = 8.0 - np.floor(np.log10(np.abs(x)))  # inf for 0, -inf for inf
         # 0, inf and nan give a y the rule refuses with any power
-        p = _POW10.take(np.abs(k).astype(np.intp), mode="clip")
-        # values of 1e9 and more; fmin passes over the k of nan
-        down = k < 0 if np.fmin.reduce(k, initial=0.0) < 0 else None
-        y = x * p if down is None else np.divide(x, p, out=x * p, where=down)
+        p = _POW10.take(k.astype(np.intp), mode="clip")
+        y = x * p
         m, a = np.rint(y), np.abs(y)
         ok = (a >= 1e8) & (a < 1e9 + 0.5) & (np.abs(y - m) < 0.5 - 1e-6)
         r = m / p
-        if down is not None:
-            np.multiply(m, p, out=r, where=down)
     if not ok.all():
         j = np.flatnonzero(~ok)
         r[j] = x[j]

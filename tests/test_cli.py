@@ -435,6 +435,15 @@ class TestDetect:
         )
         assert code == 1
 
+    def test_rate_mismatch(self, tmp_path):
+        wave = tmp_path / "w.csv"
+        wave.write_text(VALID_WAVE)
+        # as many rows as the waveform, at half its rate
+        code, out, err = run_cli(["detect", "-", "--waveform", str(wave)],
+                                 stdin_text="t,log_score\n0,-1\n0.02,-1\n0.04,-1\n")
+        assert (code, out) == (1, "")
+        assert err == "error: trace rate 50.0 Hz does not match waveform rate 100.0 Hz\n"
+
     def test_threshold_flags_respected(self, tmp_path):
         wave = tmp_path / "w.csv"
         wave.write_text(self.wave_text)
@@ -760,20 +769,29 @@ class TestReadBackPass:
         assert trace.log_scores.tobytes() == ref_trace.log_scores.tobytes()
         assert w.sample_rate_hz == ref_w.sample_rate_hz == trace.sample_rate_hz
 
-    @pytest.mark.parametrize("cfg", [
-        MockConfig(duration_s=0.001, holds=((0.0, 0.001),), rng_seed=9),  # no samples
-        MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=9),  # one sample
+    FAILING = [
+        (MockConfig(duration_s=0.001, holds=((0.0, 0.001),), rng_seed=9), ModelParams()),  # no samples
+        (MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=9), ModelParams()),  # one sample
         # one sample that is not finite: the recording's own error comes first
-        MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=7, noise_sd_flow=1.7e308),
-        MockConfig(duration_s=30.0, holds=((0.0, 1.0),), rng_seed=9, noise_sd_flow=1e308),
+        (MockConfig(duration_s=0.01, holds=((0.0, 0.01),), rng_seed=7, noise_sd_flow=1.7e308),
+         ModelParams()),
+        (MockConfig(duration_s=30.0, holds=((0.0, 1.0),), rng_seed=9, noise_sd_flow=1e308),
+         ModelParams()),
         # a 7.3 Hz grid that 9 digits do not keep uniform
-        MockConfig(duration_s=300.0, sample_rate_hz=7.3, holds=((100.0, 3.0),), rng_seed=4),
-    ])
-    def test_same_error(self, cfg):
+        (MockConfig(duration_s=300.0, sample_rate_hz=7.3, holds=((100.0, 3.0),), rng_seed=4),
+         ModelParams()),
+        # a recording that score refuses: the flow's squared deviation and
+        # twice its variance overflow, and inf / inf makes the log-scores nan
+        (MockConfig(duration_s=30.0, holds=((10.0, 2.0),), rng_seed=1),
+         ModelParams(mu_flow=-1.7e308, var_flow=1e308)),
+    ]
+
+    @pytest.mark.parametrize("cfg, params", FAILING, ids=[f"cfg{i}" for i in range(len(FAILING))])
+    def test_same_error(self, cfg, params):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = _outcome(block_pass, cfg, ModelParams())
-            want = _outcome(read_back_stages, cfg, ModelParams())
+            got = _outcome(block_pass, cfg, params)
+            want = _outcome(read_back_stages, cfg, params)
         assert isinstance(want, tuple) and issubclass(want[0], HoldscanError)
         assert got == want
 
@@ -851,6 +869,7 @@ FAILING_ARGV = [
     ["--seed", "7", "--duration-s", "0.01", "--hold", "0:0.01", "--noise-sd-flow", "1.7e308"],
     ["--seed", "9", "--duration-s", "30", "--hold", "0:1", "--noise-sd-flow", "1e308"],
     ["--seed", "4", "--duration-s", "300", "--sample-rate-hz", "7.3", "--hold", "100:3"],
+    ["--seed", "1", "--duration-s", "30", "--hold", "10:2", "--mu-flow=-1.7e308", "--var-flow", "1e308"],
 ]
 
 

@@ -531,6 +531,12 @@ class TestNdjson:
         with pytest.raises(MalformedRow, match=f"^line 1: {key} must be finite"):
             read_segments_ndjson(line)
 
+    @pytest.mark.parametrize("key", ["start_s", "mean_log_score"])
+    def test_text_value_rejected(self, key):
+        line = self.second_line_with(0, 5).replace(f'"{key}": 1.0', f'"{key}": "1.0"')
+        with pytest.raises(MalformedRow, match=f"^line 1: {key} must be a number$"):
+            read_segments_ndjson(line)
+
     @pytest.mark.parametrize("key", ["peak_log_score", "mean_log_score"])
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e999"])
     def test_log_score_finite_or_minus_infinity(self, key, text):

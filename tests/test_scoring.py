@@ -182,8 +182,9 @@ class TestLogScoreSample:
         assert log_score_sample(60.0, 15.0) == pytest.approx(LOGPDF_60 + LOGPDF_PEAK, rel=1e-12)
 
     def test_errors(self):
-        with pytest.raises(NonPositiveVariance):
-            log_score_sample(0.0, 15.0, ModelParams(var_pressure=0.0))
+        for field in ("var_flow", "var_pressure"):
+            with pytest.raises(NonPositiveVariance, match=f"^{field} must be > 0"):
+                log_score_sample(0.0, 15.0, ModelParams(**{field: 0.0}))
         for flow, pressure in ((float("-inf"), 15.0), (0.0, float("nan"))):
             with pytest.raises(NonFiniteInput):
                 log_score_sample(flow, pressure)
@@ -259,6 +260,12 @@ class TestScoreSeries:
             ScoreTrace(log_scores=np.array([0.0]), sample_rate_hz=rate)
         with pytest.raises(InvalidConfig):
             Waveform(t=[0.0], flow=[0.0], pressure=[15.0], sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("log_scores", [None, ["x"], [0.0, 1j], np.array([0.0, 1j]), [[0.0]]],
+                             ids=["none", "text", "complex", "complex-array", "2-d"])
+    def test_trace_rejects_bad_log_scores(self, log_scores):
+        with pytest.raises(MalformedRow, match="^log_scores must "):
+            ScoreTrace(log_scores=log_scores, sample_rate_hz=100.0)
 
 
 class TestSquareOverflow:
@@ -371,6 +378,13 @@ class TestTraceCsv:
         assert "-inf" in buf.getvalue()
         _, trace2 = load_score_trace_csv(buf.getvalue())
         assert trace2.log_scores[0] == -np.inf
+
+    def test_lengths_must_match(self):
+        import io
+
+        trace = ScoreTrace(log_scores=np.array([-1.0, -2.0]), sample_rate_hz=100.0)
+        with pytest.raises(MalformedRow, match="^t and trace lengths differ$"):
+            write_score_trace_csv(np.array([0.0]), trace, io.StringIO())
 
     def test_non_numeric_score_column_rejected(self):
         text = "t,log_score,score\n0,-1,0.37\n0.01,-1,abc\n"

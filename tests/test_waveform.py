@@ -32,6 +32,7 @@ from holdscan import (
 from holdscan.mockgen import _BLOCK
 from holdscan.waveform import (
     _BlockCheck,
+    _channel,
     _read_back,
     _read_back_threshold,
     check_time_grid,
@@ -142,11 +143,13 @@ class TestLoadCsv:
             load_waveform_csv(CSV_3ROWS, expected_rate_hz=200.0)
 
     def test_bad_expected_rate(self):
-        for rate in (-5.0, 5e-324):
+        for rate in (-5.0, 5e-324, "x", 2**1100, 1j):
             with pytest.raises(InvalidConfig, match="expected_rate_hz"):
                 load_waveform_csv(CSV_3ROWS, expected_rate_hz=rate)
             with pytest.raises(InvalidConfig, match="expected_rate_hz"):
                 load_score_trace_csv("t,log_score\n0,-1\n0.5,-1\n7,-1\n", expected_rate_hz=rate)
+            with pytest.raises(InvalidConfig, match="expected_rate_hz"):
+                check_time_grid(np.arange(3) / 100.0, rate)
 
 
 class TestValidate:
@@ -209,6 +212,30 @@ class TestValidate:
                 pressure=np.zeros(3),
                 sample_rate_hz=100.0,
             )
+
+    @pytest.mark.parametrize("name", ["t", "flow", "pressure", "volume"])
+    @pytest.mark.parametrize("bad", [["a", "b"], [0.0, 1j], np.array([0.0, 1j]), np.zeros((2, 1)),
+                                     [[0.0, 1.0], 2.0]],
+                             ids=["text", "complex", "complex-array", "2-d", "ragged"])
+    def test_bad_channel_rejected(self, name, bad):
+        channels = {"t": [0.0, 0.01], "flow": [1.0, 2.0], "pressure": [15.0, 16.0],
+                    "volume": [0.0, 0.1], name: bad}
+        with pytest.raises(MalformedRow, match=f"^channel {name!r} must "):
+            Waveform(**channels, sample_rate_hz=100.0)
+
+    @pytest.mark.parametrize("name", ["t", "flow", "pressure"])
+    def test_only_volume_may_be_missing(self, name):
+        channels = {"t": [0.0, 0.01], "flow": [1.0, 2.0], "pressure": [15.0, 16.0]}
+        assert Waveform(**channels, sample_rate_hz=100.0).volume is None
+        with pytest.raises(MalformedRow, match=f"^channel {name!r} must "):
+            Waveform(**(channels | {name: None}), sample_rate_hz=100.0)
+
+    def test_channel_converted_without_a_copy(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        for arr in (rows[:, 0], rows[:, 1].copy()):
+            assert _channel("channel 't'", arr) is arr
+        ints = np.arange(3)
+        assert _channel("channel 't'", ints).tobytes() == ints.astype(np.float64).tobytes()
 
     def test_channels_read_only(self):
         w = make_waveform([1.0, 2.0], [3.0, 4.0])
@@ -333,6 +360,10 @@ class TestTimeGrid:
             check_time_grid(np.array(t))
         with pytest.raises(InvalidConfig, match="sample_rate_hz must be positive"):
             load_waveform_csv("t,flow,pressure\n" + "".join(f"{v!r},0,15\n" for v in t))
+
+    def test_no_timestamps(self):
+        with pytest.raises(EmptyInput, match="^no timestamps$"):
+            check_time_grid(np.array([]))
 
     def test_step_beyond_the_float_range(self):
         # the step overflows to inf, without a numpy warning
@@ -602,11 +633,11 @@ class TestReadBack:
     def test_matches_text_round_trip(self, values):
         assert _read_back(values).tobytes() == _text_round_trip(values).tobytes()
 
-    # beyond the exact powers of ten: huge and tiny values, subnormals, and
-    # ties in every decade a float reaches
+    # beyond the exact powers of ten, so through the text: from 1e9 up, tiny
+    # values, subnormals, and ties in every decade a float reaches
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(
-        st.floats(allow_nan=False).filter(lambda v: not 1e-14 <= abs(v) < 1e31)
+        st.floats(allow_nan=False).filter(lambda v: not 1e-14 <= abs(v) < 1e9)
         | st.floats(min_value=-1e-300, max_value=1e-300)
         | _near_ties(st.integers(-315, 308)),
         min_size=1, max_size=60,
