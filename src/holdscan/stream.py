@@ -4,7 +4,7 @@ The separate commands only ever see the 9-digit text of the waveform and
 the score trace; ``pipeline`` computes the values a reader gives for that
 text in numpy (``waveform._read_back``) and writes the text only to save
 it.  :func:`_stage_blocks` takes the generator's blocks (``mockgen._blocks``)
-one at a time: each is read back, checked as ``score`` checks a whole
+one at a time: each has its t read back, is checked as ``score`` checks a whole
 recording (by ``waveform._BlockCheck``, which holds the rule for the rate
 and the order of the faults), scored, written to the ``--save-*`` streams
 and fed to a resumable hold scan (``detection._HoldScan``).  Each segment is
@@ -12,12 +12,15 @@ reported on its own window of samples (:class:`_HoldReports`).  When a check
 fails, :func:`_raise_first_error` finds the error the separate commands give
 in one more pass, with one such check for ``generate`` and one for ``score``.
 
-Per block, only t, flow and pressure are read back; the volume and the
-log-scores, which decide nothing per sample, are read back on a segment's
-window.  A value and its read-back are alike finite, infinite or nan and
-have one text, so the checks and the saved text are the same; the read-back
-is monotone, so the hold scan compares the log-scores with thresholds
-translated once (``waveform._read_back_threshold``).
+Per block, only t is read back, for the grid check, and the log-scores are
+exact only within ``B`` (``scoring._read_back_band``) of a threshold, the most
+a read-back of flow and pressure moves a log-score near one
+(:class:`_HoldReports`); everywhere where no ``B`` is proven, with
+``--save-trace`` and in :func:`_raise_first_error`.  A value and its read-back
+are alike finite, infinite or nan and have one text, so the checks and the
+saved text are the same; the read-back is monotone, so the hold scan compares
+the log-scores with thresholds translated once
+(``waveform._read_back_threshold``).
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
 temporaries, a ring of the last ``mechanics.VOLUME_LOOKBACK_S`` seconds of
@@ -46,7 +49,7 @@ from .detection import (
 from .errors import HoldscanError
 from .mechanics import VOLUME_LOOKBACK_S, _samples, report_hold
 from .mockgen import MockConfig, _blocks, _sample_count
-from .scoring import _TRACE_HEADER, ModelParams, _check_log_scores, _log_scores_array
+from .scoring import _TRACE_HEADER, ModelParams, _check_log_scores, _log_scores_array, _read_back_band
 from .waveform import (
     _CHANNELS,
     Waveform,
@@ -59,20 +62,9 @@ from .waveform import (
 )
 
 
-def _read_back_blocks(cfg: MockConfig, params: ModelParams, n: int):
-    """``(start, made, read)`` for each block of the recording.
-
-    ``made`` is the generated ``[t, flow, pressure, volume]``, ``read`` its
-    t, flow and pressure read back (the values ``score`` reads from
-    ``generate``'s text), the volume, and their log-scores, not read back.
-    """
-    # Fresh arrays for each block, freed before the next, come back from the
-    # heap without new pages; reusing buffers of a block's size took 7 times
-    # the page faults on 1 h in a process that runs pipeline repeatedly.
-    for start, *made in _blocks(cfg, n):
-        read = [_read_back(values) for values in made[:3]]
-        read += [made[3], _log_scores_array(read[1], read[2], params)]
-        yield start, made, read
+def _exact_log_scores(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The log-scores ``score`` computes from the text of ``flow`` and ``pressure``."""
+    return _log_scores_array(*_read_back(np.concatenate([flow, pressure])).reshape(2, -1), params)
 
 
 def _pipeline_rate(cfg: MockConfig, n: int) -> float:
@@ -86,24 +78,26 @@ def _pipeline_rate(cfg: MockConfig, n: int) -> float:
 class _HoldReports:
     """Hold segments and their reports from a recording given block by block.
 
-    Each block's channels ``[t, flow, pressure, volume, log_score]``, the
-    last two not read back, go to a resumable hold scan
-    (``detection._HoldScan``) with translated thresholds.  A segment
-    ``[a, b)`` it finishes is summarized and reported on samples
-    ``[a - lookback, b)`` (``lookback`` samples make ``VOLUME_LOOKBACK_S``
-    at the rate), its volume and log-scores read back, which gives the
-    report of the whole recording.  Between blocks only the blocks that hold
-    what a segment still to be reported can need are kept: the samples from
-    ``lookback`` before the scan's current run, or before its position when
-    no run is open or pending.  That is a ring of the last ``lookback``
-    samples, plus the samples of the run.
+    :meth:`feed` takes each block's ``[t, flow, pressure, volume]``, only t read
+    back, and log-scores that are exact within ``B`` of a translated threshold
+    (everywhere with ``exact`` or without a proven ``B``), as :meth:`log_scores`
+    gives them, and elsewhere scored from the values as generated, which meet each
+    threshold as the exact ones do.  A resumable hold scan (``detection._HoldScan``)
+    compares them with the translated thresholds.  A segment ``[a, b)`` it finishes
+    is reported on samples ``[a - lookback, b)`` (``VOLUME_LOOKBACK_S`` at the
+    rate), whose flow, pressure and volume are read back in one call and whose
+    log-scores are computed from them and read back: the report of the whole
+    recording.  Between blocks only the samples from ``lookback`` before the scan's
+    current run, or before its position when no run is open or pending, are kept.
     """
 
-    def __init__(self, config: DetectionConfig, rate: float, peep: float | None,
-                 save_segments=None) -> None:
-        on, off = config.log_threshold_on, config.log_threshold_off
-        self._scan = _HoldScan(replace(config, log_threshold_on=_read_back_threshold(on),
-                                       log_threshold_off=_read_back_threshold(off)), rate)
+    def __init__(self, config: DetectionConfig, params: ModelParams, rate: float,
+                 peep: float | None, save_segments=None, exact: bool = False) -> None:
+        on, off = (_read_back_threshold(v) for v in (config.log_threshold_on, config.log_threshold_off))
+        self._scan = _HoldScan(replace(config, log_threshold_on=on, log_threshold_off=off), rate)
+        self._params = params
+        self._near = [v for v in (on, off) if np.isfinite(v)]
+        self._band = np.inf if exact else _read_back_band(params, self._near)
         self._rate = rate
         self._lookback = _samples(VOLUME_LOOKBACK_S, rate)
         self._peep = peep
@@ -112,11 +106,22 @@ class _HoldReports:
         self._chunks: list[tuple[int, list[np.ndarray]]] = []  # (first index, channels)
         self._lines: list[str] = []
 
-    def feed(self, channels) -> None:
-        """The next block."""
+    def log_scores(self, flow: np.ndarray, pressure: np.ndarray) -> np.ndarray:
+        """A block's log-scores for the hold scan, exact within the band of a threshold."""
+        if self._band == np.inf:
+            return _exact_log_scores(flow, pressure, self._params)
+        ls = _log_scores_array(flow, pressure, self._params)
+        j = np.flatnonzero(ls >= min(self._near, default=np.inf) - self._band)  # few reach a band
+        j = j[np.flatnonzero(sum(np.abs(ls[j] - thr) <= self._band for thr in self._near))]
+        if len(j):
+            ls[j] = _exact_log_scores(flow[j], pressure[j], self._params)
+        return ls
+
+    def feed(self, channels, log_scores: np.ndarray) -> None:
+        """The next block's ``[t, flow, pressure, volume]`` and :meth:`log_scores`."""
         self._chunks.append((self._pos, list(channels)))
-        self._pos += len(channels[0])
-        for a, b in self._scan.feed(channels[4]):
+        self._pos += len(log_scores)
+        for a, b in self._scan.feed(log_scores):
             self._report(a, b)
         # drop what no segment can need any more
         lo = max(0, self._scan.keep_from - self._lookback)
@@ -131,16 +136,13 @@ class _HoldReports:
 
     def _report(self, a: int, b: int) -> None:
         lo = max(0, a - self._lookback)
-        parts = [[c[max(lo - s, 0) : b - s] for c in chans]
-                 for s, chans in self._chunks if s < b and s + len(chans[0]) > lo]
-        # each channel of the window is one contiguous array, so that its
-        # means have the bits of the whole recording's
-        t, flow, pressure, volume, ls = (
-            parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-        )
-        w = Waveform._checked(t, flow, pressure, self._rate, _read_back(volume))
-        segment = _hold_segment(a, b, _read_back(ls[a - lo :]), self._rate)
-        record = segment_record(summarize_segment(w, segment, lo))
+        t, *values = zip(*[[c[max(lo - s, 0) : b - s] for c in chans]
+                           for s, chans in self._chunks if s < b and s + len(chans[0]) > lo])
+        # one contiguous array per channel, so that its means have the whole recording's bits
+        flow, pressure, volume = _read_back(np.concatenate(sum(values, ()))).reshape(3, -1)
+        w = Waveform._checked(np.concatenate(t), flow, pressure, self._rate, volume)
+        scores = _read_back(_log_scores_array(flow[a - lo :], pressure[a - lo :], self._params))
+        record = segment_record(summarize_segment(w, _hold_segment(a, b, scores, self._rate), lo))
         if self._save_segments is not None:
             write_segments_ndjson([record], self._save_segments)
         self._lines.append(json.dumps(report_hold(w, record, self._peep, lo)) + "\n")
@@ -151,30 +153,31 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
                   save_segments=None) -> str:
     """``pipeline``'s one pass over the recording, block by block; returns the report text.
 
-    Each block is generated, its t, flow and pressure read back (the values
-    a reader gives for the 9-digit text), checked as ``score`` checks the
-    whole recording (at the rate it infers from the first and last
-    timestamps, the previous block's last timestamp carried into the grid
-    check), scored, written to the ``save_*`` streams, and fed to
-    :class:`_HoldReports`, so only one block, the samples segments still
-    need and the records are held.  If a check fails, the error is the one
-    the separate commands give.
+    Each block is generated, its t read back (the values a reader gives for
+    the 9-digit text), checked as ``score`` checks the whole recording (at
+    the rate it infers from the first and last timestamps, the previous
+    block's last timestamp carried into the grid check), scored (exactly
+    with ``save_trace``), written to the ``save_*`` streams and fed to
+    :class:`_HoldReports`, so only one block, the samples segments still need
+    and the records are held.  A failed check raises the separate commands' error.
     """
     n = _sample_count(cfg)
     try:
         # the hold scan needs the rate before the first block
         rate = _pipeline_rate(cfg, n)
         checks = _BlockCheck()
-        reports = _HoldReports(config, rate, peep, save_segments)
-        for start, _, read in _read_back_blocks(cfg, params, n):
-            checks.feed(*read[:4])
+        reports = _HoldReports(config, params, rate, peep, save_segments, save_trace is not None)
+        for start, t, *values in _blocks(cfg, n):
+            t = _read_back(t)
+            checks.feed(t, *values)
             checks.raise_first(rate)
-            _check_log_scores(read[4])
+            scores = reports.log_scores(*values[:2])
+            _check_log_scores(scores)
             if save_waveform is not None:
-                _write_rows(save_waveform, _CHANNELS if start == 0 else None, read[:4])
+                _write_rows(save_waveform, _CHANNELS if start == 0 else None, (t, *values))
             if save_trace is not None:
-                _write_rows(save_trace, _TRACE_HEADER if start == 0 else None, read[::4])
-            reports.feed(read)
+                _write_rows(save_trace, _TRACE_HEADER if start == 0 else None, (t, scores))
+            reports.feed((t, *values), scores)
         return reports.finish()
     except HoldscanError:
         _raise_first_error(cfg, params, n)
@@ -192,11 +195,11 @@ def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
     """
     made, read = _BlockCheck(), _BlockCheck()
     scores_error = None
-    for _, made_block, read_block in _read_back_blocks(cfg, params, n):
-        made.feed(*made_block)
-        read.feed(*read_block[:4])
+    for _, t, *values in _blocks(cfg, n):
+        made.feed(t, *values)
+        read.feed(_read_back(t), *values)
         try:
-            _check_log_scores(read_block[4])
+            _check_log_scores(_exact_log_scores(*values[:2], params))
         except HoldscanError as exc:
             scores_error = scores_error or exc
     made.raise_first(cfg.sample_rate_hz)

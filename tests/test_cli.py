@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import math
 import os
+import sys
 import warnings
 from unittest import mock
 
@@ -29,10 +31,11 @@ from holdscan import (
 )
 from holdscan import cli
 from holdscan.cli import run
-from holdscan.stream import _HoldReports, _read_back_blocks, _stage_blocks
+from holdscan.stream import _exact_log_scores, _HoldReports, _stage_blocks
 from holdscan.mechanics import HEURISTICS_NOTE, report_hold
-from holdscan.mockgen import _BLOCK, _sample_count
-from holdscan.waveform import _read_back, check_time_grid
+from holdscan.mockgen import _BLOCK, _blocks, _sample_count
+from holdscan.scoring import LOG_Q_MAX, _log_scores_array, _read_back_band
+from holdscan.waveform import _read_back, _read_back_threshold, check_time_grid
 
 
 def run_cli(argv, stdin_text=""):
@@ -732,15 +735,23 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def read_back_pass(cfg, params):
-    """pipeline's read-back blocks joined, as the waveform and trace of the
-    stages; the pass keeps the volume and the log-scores as computed, so they
-    are read back here."""
-    blocks = [[c.copy() for c in read] for _, _, read in _read_back_blocks(cfg, params, _sample_count(cfg))]
-    t, flow, pressure, volume, scores = (np.concatenate(c) for c in zip(*blocks))
-    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=check_time_grid(t),
-                 volume=_read_back(volume))
-    return w, ScoreTrace(log_scores=_read_back(scores), sample_rate_hz=w.sample_rate_hz)
+def read_back_pass(cfg, params, config=DetectionConfig(), exact=False):
+    """pipeline's blocks joined as it feeds them to the hold scan: t read
+    back, flow, pressure and volume as generated, and the log-scores of
+    ``_HoldReports.log_scores``, or where ``exact`` (as with --save-trace)
+    those of the read-back flow and pressure."""
+    reports = _HoldReports(config, params, 1.0, None, exact=exact)
+    blocks = [(_read_back(t), flow, pressure, volume, reports.log_scores(flow, pressure))
+              for _, t, flow, pressure, volume in _blocks(cfg, _sample_count(cfg))]
+    return [np.concatenate(c) for c in zip(*blocks)]
+
+
+def meets_thresholds(scores, ref, config):
+    """Whether pipeline's log-scores meet the translated thresholds where
+    the read-back log-scores ``ref`` of the stages meet the thresholds."""
+    on, off = config.log_threshold_on, config.log_threshold_off
+    return (np.array_equal(scores >= _read_back_threshold(on), ref >= on)
+            and np.array_equal(scores < _read_back_threshold(off), ref < off))
 
 
 def block_pass(cfg, params):
@@ -762,12 +773,15 @@ class TestReadBackPass:
          ModelParams(mu_pressure=14.0)),
     ])
     def test_bit_identical(self, cfg, params):
-        w, trace = read_back_pass(cfg, params)
+        t, *values, exact = read_back_pass(cfg, params, exact=True)
+        *_, scores = read_back_pass(cfg, params)
         ref_w, ref_trace = read_back_stages(cfg, params)
-        for name in ("t", "flow", "pressure", "volume"):
-            assert getattr(w, name).tobytes() == getattr(ref_w, name).tobytes()
-        assert trace.log_scores.tobytes() == ref_trace.log_scores.tobytes()
-        assert w.sample_rate_hz == ref_w.sample_rate_hz == trace.sample_rate_hz
+        assert t.tobytes() == ref_w.t.tobytes()
+        for name, made in zip(("flow", "pressure", "volume"), values):
+            assert _read_back(made).tobytes() == getattr(ref_w, name).tobytes()
+        assert _read_back(exact).tobytes() == ref_trace.log_scores.tobytes()
+        assert meets_thresholds(scores, ref_trace.log_scores, DetectionConfig())
+        assert check_time_grid(t) == ref_w.sample_rate_hz == ref_trace.sample_rate_hz
 
     FAILING = [
         (MockConfig(duration_s=0.001, holds=((0.0, 0.001),), rng_seed=9), ModelParams()),  # no samples
@@ -837,15 +851,15 @@ class TestHoldReports:
         cfg, edges, config, peep = case
         w, trace = read_back_stages(cfg, ModelParams())
         records = [segment_record(summarize_segment(w, s)) for s in detect_holds(trace, config)]
-        # as pipeline feeds them: t, flow and pressure read back, the volume
-        # and the log-scores as computed
+        # as pipeline feeds them: t read back, flow, pressure and volume as generated
         made, _ = generate_mock_waveform(cfg)
-        channels = (w.t, w.flow, w.pressure, made.volume, score_series(w).log_scores)
+        channels = (w.t, made.flow, made.pressure, made.volume)
 
         saved = io.StringIO()
-        reports = _HoldReports(config, w.sample_rate_hz, peep, saved)
+        reports = _HoldReports(config, ModelParams(), w.sample_rate_hz, peep, saved)
         for lo, hi in zip([0, *edges], [*edges, len(w)]):
-            reports.feed([c[lo:hi] for c in channels])
+            block = [c[lo:hi] for c in channels]
+            reports.feed(block, reports.log_scores(block[1], block[2]))
         got = reports.finish()
         assert saved.getvalue() == "".join(json.dumps(r) + "\n" for r in records)
         assert got == "".join(json.dumps(report_hold(w, r, peep)) + "\n" for r in records)
@@ -861,6 +875,139 @@ class TestHoldReports:
         window = Waveform(t=w.t[lo:], flow=w.flow[lo:], pressure=w.pressure[lo:],
                           sample_rate_hz=w.sample_rate_hz, volume=w.volume[lo:])
         assert report_hold(window, record, offset=lo) == report_hold(w, record)
+
+
+# the greatest log-score, at ln q = LOG_Q_MAX
+_TOP = LOG_Q_MAX - math.log1p(-math.exp(LOG_Q_MAX))
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _band_cases(draw):
+    """A short recording, a model, a block size and a sample to draw a
+    threshold from, for pipeline's band path against its exact path."""
+    kind = draw(st.sampled_from(["near", "near", "wide", "ceiling", "square", "nan"]))
+    noise = 0.0 if kind == "ceiling" else 1.0
+    cfg = MockConfig(duration_s=draw(st.sampled_from([12.0, 25.0])), holds=((4.0, 2.0),),
+                     rng_seed=draw(st.integers(0, 2**32)), noise_sd_pressure=noise,
+                     noise_sd_flow=1e154 if kind == "square" else noise)
+    focus = None
+    if kind == "near":
+        params = ModelParams(draw(st.floats(-5, 5)), draw(_decades(-3, 3)),
+                             draw(st.floats(0, 30)), draw(_decades(-3, 3)))
+    elif kind == "ceiling":  # hold samples at the model's means reach LOG_Q_MAX
+        params = ModelParams(0.0, draw(_decades(-6, -2)), 15.0, draw(_decades(-6, -2)))
+    elif kind == "wide":
+        mu = st.floats(-1e300, 1e300) | st.floats(-30, 30)
+        params = ModelParams(draw(mu), draw(_decades(-306, 308)), draw(mu), draw(_decades(-306, 308)))
+    elif kind == "square":
+        # a flow whose squared deviation overflows as generated or as read
+        # back, but not both: mu puts sqrt(float max) between the two
+        made, _ = generate_mock_waveform(cfg)
+        focus = draw(st.integers(0, len(made) - 1))
+        pair = sorted(float(v) for v in (made.flow[focus], _read_back(made.flow[focus : focus + 1])[0]))
+        mu = (pair[0] + pair[1]) / 2 - math.sqrt(sys.float_info.max)
+        params = ModelParams(mu, draw(_decades(0, 3)), 15.0, 1.0)
+    else:  # twice the variance overflows, and inf / inf makes the log-scores nan
+        params = ModelParams(-1.7e308, draw(st.floats(9e307, 1.7e308)), 15.0, 1.0)
+    return cfg, params, draw(st.sampled_from([50, 999, 4096, _BLOCK])), focus
+
+
+class TestBandPath:
+    """pipeline reads back flow and pressure only where a log-score lies in
+    the band of a threshold; its segments, reports and errors are those of
+    the path that reads back every value (the one --save-trace takes)."""
+
+    @staticmethod
+    def outcome(cfg, params, config, peep, size, exact):
+        segments = io.StringIO()
+        trace = io.StringIO() if exact else None
+        with mock.patch("holdscan.stream._blocks", lambda c, n: _blocks(c, n, size)):
+            got = _outcome(_stage_blocks, cfg, params, config, peep, None, trace, segments)
+        return got, segments.getvalue()
+
+    @staticmethod
+    def draw_config(data, ref, focus):
+        """Thresholds at a sample's exact log-score, at the log1p switch or
+        at the ceiling, or a few floats from there, one of them or both."""
+        i = focus if focus is not None else data.draw(st.integers(0, len(ref) - 1))
+        anchors = [float(v) for v in (ref[i], np.max(ref)) if not np.isnan(v)]  # nan where the model is
+        thr = data.draw(st.sampled_from([*anchors[:1] * 3, *anchors, -40.0, _TOP]))
+        steps = data.draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            thr = float(np.nextafter(thr, math.copysign(math.inf, steps)))
+        gap = data.draw(st.sampled_from([0.0, 1e-9, 0.5, 4.0, math.inf]))
+        on, off = ((thr, thr - gap if gap < math.inf else -math.inf) if data.draw(st.booleans())
+                   else (thr + gap if gap < math.inf else math.inf, thr))
+        return DetectionConfig(on, off, min_duration_s=data.draw(st.sampled_from([0.0, 0.3])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_band_cases(), data=st.data())
+    def test_matches_exact_path(self, case, data):
+        cfg, params, size, focus = case
+        ref = _read_back(read_back_pass(cfg, params, exact=True)[-1])
+        configs = [self.draw_config(data, ref, focus) for _ in range(4)]
+        for config in configs:
+            assert meets_thresholds(read_back_pass(cfg, params, config)[-1], ref, config)
+        peep = data.draw(st.sampled_from([None, 5.0]))
+        band = self.outcome(cfg, params, configs[0], peep, size, exact=False)
+        assert band == self.outcome(cfg, params, configs[0], peep, size, exact=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_band_cases(), data=st.data())
+    def test_band_bounds_the_read_back(self, case, data):
+        # at a threshold translated from any sample's exact log-score, or
+        # from a float next to it, each log-score of the values as generated
+        # that lies outside the threshold's band meets it as the exact one does
+        cfg, params, _, focus = case
+        made, _ = generate_mock_waveform(cfg)
+        scores = _log_scores_array(made.flow, made.pressure, params)
+        exact = _exact_log_scores(made.flow, made.pressure, params)
+        ref = _read_back(exact)
+        picks = data.draw(st.lists(st.integers(0, len(ref) - 1), min_size=1, max_size=20))
+        for v in {*ref[picks + [focus or 0]].tolist(), -40.0, _TOP}:
+            for thr in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)):
+                t = _read_back_threshold(float(thr))
+                band = _read_back_band(params, [t])
+                if math.isfinite(t) and band < math.inf:
+                    far = ~(np.abs(scores - t) <= band)
+                    assert np.array_equal((scores >= t)[far], (exact >= t)[far])
+
+    @pytest.mark.parametrize("role", ["on", "off"])
+    def test_straddling_sample_is_exact(self, role):
+        # a threshold at a sample's exact log-score, which the sample's
+        # log-score as generated lies on the other side of, with the other
+        # threshold 4 away: outside that threshold's band
+        cfg, params = MockConfig(duration_s=30.0, holds=((10.0, 2.0),), rng_seed=3), ModelParams()
+        made, _ = generate_mock_waveform(cfg)
+        scores = _log_scores_array(made.flow, made.pressure, params)
+        exact = _exact_log_scores(made.flow, made.pressure, params)
+        ref = _read_back(exact)
+        t = np.array([_read_back_threshold(v) for v in ref.tolist()])
+        k = np.flatnonzero((scores >= t) != (exact >= t))[0]
+        v = float(ref[k])
+        config = DetectionConfig(v, v - 4.0) if role == "on" else DetectionConfig(v + 4.0, v)
+        assert meets_thresholds(read_back_pass(cfg, params, config)[-1], ref, config)
+
+    @given(mu=st.floats(allow_nan=False, allow_infinity=False),
+           var=st.floats(5e-324, 1.7976931348623157e308),
+           thresholds=st.lists(st.floats(allow_nan=False), max_size=2))
+    def test_band_is_quiet(self, mu, var, thresholds):
+        # no OverflowError from any model or threshold
+        for params in (ModelParams(mu, var, 15.0, 1.0), ModelParams(0.0, 1.0, mu, var)):
+            assert _read_back_band(params, thresholds) >= 0.0
+
+    def test_band_at_the_defaults(self):
+        band = _read_back_band(ModelParams(), [_read_back_threshold(-10.0), _read_back_threshold(-14.0)])
+        assert 0.0 < band < 1e-5
+        assert _read_back_band(ModelParams(mu_pressure=1e300), [-10.0]) == math.inf
+        assert _read_back_band(ModelParams(var_flow=1e308), [-10.0]) == math.inf
+        # no log-score reaches 28, so no band is needed there
+        assert _read_back_band(ModelParams(), [28.0, math.inf, -math.inf]) == 0.0
+        assert 27.63 < _TOP < 27.64
 
 
 FAILING_ARGV = [

@@ -67,3 +67,10 @@ def test_digests(tmp_path, gen):
     assert _sha256(saves["w.csv"].read_bytes()) == waveform
     assert _sha256(saves["t.csv"].read_bytes()) == trace
     assert _sha256(saves["s.ndjson"].read_bytes()) == segments
+
+
+@pytest.mark.parametrize("gen", PINNED)
+def test_report_digest_without_saves(gen):
+    # without --save-trace, pipeline scores the values as generated and reads
+    # back flow and pressure only near a threshold; the report is the same
+    assert _sha256(_stdout(["pipeline", *gen.split()])) == PINNED[gen][1]
