@@ -105,7 +105,8 @@ class MockConfig:
             raise InvalidConfig(f"rng_seed must be an integer, got {self.rng_seed!r}")
         for start, dur in self.holds:
             if not (math.isfinite(start) and math.isfinite(dur)) or dur <= 0:
-                raise InvalidConfig(f"hold ({start}, {dur}) must have positive duration")
+                raise InvalidConfig(
+                    f"hold ({start}, {dur}) must have a finite start and a positive, finite duration")
             if start < 0 or start + dur > self.duration_s:
                 raise InvalidConfig(
                     f"hold ({start}, {dur}) extends outside [0, {self.duration_s}]"

@@ -37,7 +37,8 @@ from .errors import (
     NonPositiveVariance,
     _real,
 )
-from .waveform import Waveform, _channel, _check_rate, _read_table, _write_rows, check_time_grid
+from .waveform import (_READ_BACK_RTOL, Waveform, _channel, _check_rate, _read_table, _write_rows,
+                       check_time_grid)
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
@@ -170,17 +171,17 @@ def _log_scores_array(flow: np.ndarray, pressure: np.ndarray, params: ModelParam
 
 def _read_back_band(params: ModelParams, thresholds) -> float:
     """``B`` such that a log-score outside ``[thr - B, thr + B)`` of each finite
-    threshold meets it as the log-score of its read-back flow and pressure
-    does; inf where none is proven.
+    threshold meets it as ``score``'s does; inf where none is proven.
 
-    Of two log-scores on either side of ``thr``, one reaches it, so its squared
-    terms sum to at most ``s``, each deviation to at most ``sqrt(2 var s)``.  A
-    read-back moves a value by at most ``5e-9`` of itself (half a unit in its 9th
-    digit, plus a rounding), so ln q moves by at most ``dlq`` and the log-score by
-    at most ``dlq`` times the slope ``1 / (1 - e^lq)`` (1e12 at ``LOG_Q_MAX``);
-    terms in ``u`` cover every rounding.  Built by ``*``, ``/`` and ``sqrt``, which
-    overflow quietly, ``B`` is inf where a square, a sum or ``2 * var`` could
-    overflow.
+    ``score`` reads back flow and pressure, then the log-score.  The least float
+    that reads back to ``thr`` or more lies within ``e`` of it.  Of two log-scores
+    on either side of that float, one reaches it, so its squared terms sum to at
+    most ``s`` (ln q at ``thr - e``), each deviation to at most ``sqrt(2 var s)``.
+    A read-back moves a value by at most ``_READ_BACK_RTOL`` of itself, so ln q
+    moves by at most ``dlq`` and the log-score by at most ``dlq`` times the slope
+    ``1 / (1 - e^lq)`` (ln q at ``thr + e``; 1e12 at ``LOG_Q_MAX``); ``e`` and terms
+    in ``u`` for every rounding are added.  Built by ``*``, ``/`` and ``sqrt``, which
+    overflow quietly, ``B`` is inf where a square, a sum or ``2 * var`` could overflow.
     """
     u = 2.0**-52
     kf, kp = -0.5 * math.log(_TWO_PI * params.var_flow), 0.5 * math.log(_TWO_PI * params.var_pressure)
@@ -189,19 +190,20 @@ def _read_back_band(params: ModelParams, thresholds) -> float:
     for thr in thresholds:
         if not -math.inf < thr < 28.0:  # no log-score exceeds 27.64
             continue
-        lq = thr - math.log1p(math.exp(thr)) - 0.01  # ln q where ln f = thr, less a margin
+        e = _READ_BACK_RTOL * abs(thr) + 5e-324
+        lq = thr - e - math.log1p(math.exp(thr - e)) - 0.01  # ln q where ln f = thr - e, less a margin
         s = max(kf - kp - lq, 0.0) * (1.0 + 1e-9) + 1.0 + tiny
         dlq, big = 0.0, s
         for mu, var in ((params.mu_flow, params.var_flow), (params.mu_pressure, params.var_pressure)):
             d = math.sqrt(2.0 * var * s)
-            delta = 5.01e-9 * (abs(mu) + d) + 5e-324
+            delta = _READ_BACK_RTOL * (abs(mu) + d) + 5e-324
             dlq += delta * (2.0 * d + delta) / (2.0 * var)
             big += (d + delta) * (d + delta)
         dlq += 64.0 * u * (s + dlq + abs(kf) + abs(kp)) + 4.0 * tiny
         if not (big + dlq) * 4.0 < math.inf:
             return math.inf
-        slope = 1.01 / -math.expm1(min(lq + 0.02 + dlq, LOG_Q_MAX))
-        band = max(band, slope * dlq * 1.01 + 16.0 * u * slope + 1e-12)
+        slope = 1.01 / -math.expm1(min(lq + 2.0 * e + 0.02 + dlq, LOG_Q_MAX))
+        band = max(band, (slope * dlq + e) * 1.01 + 16.0 * u * slope + 1e-12)
     return band
 
 

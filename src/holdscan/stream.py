@@ -12,15 +12,14 @@ reported on its own window of samples (:class:`_HoldReports`).  When a check
 fails, :func:`_raise_first_error` finds the error the separate commands give
 in one more pass, with one such check for ``generate`` and one for ``score``.
 
-Per block, only t is read back, for the grid check, and the log-scores are
-exact only within ``B`` (``scoring._read_back_band``) of a threshold, the most
-a read-back of flow and pressure moves a log-score near one
-(:class:`_HoldReports`); everywhere where no ``B`` is proven, with
-``--save-trace`` and in :func:`_raise_first_error`.  A value and its read-back
-are alike finite, infinite or nan and have one text, so the checks and the
-saved text are the same; the read-back is monotone, so the hold scan compares
-the log-scores with thresholds translated once
-(``waveform._read_back_threshold``).
+Per block, only t is read back, for the grid check.  The log-scores are those
+``score`` writes (of the read-back flow and pressure, read back) within ``B``
+(``scoring._read_back_band``) of a threshold (:class:`_HoldReports`), and
+everywhere where no ``B`` is proven, with ``--save-trace`` and in
+:func:`_raise_first_error`.  A value and its read-back are alike finite,
+infinite or nan and have one text, so the checks and the saved text are the
+same; wherever a decision could change, the hold scan compares the values
+``detect`` reads with its thresholds.
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
 temporaries, a ring of the last ``mechanics.VOLUME_LOOKBACK_S`` seconds of
@@ -34,7 +33,6 @@ stages ``--save-*`` text in temporary files, not in memory.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,7 +53,6 @@ from .waveform import (
     Waveform,
     _BlockCheck,
     _read_back,
-    _read_back_threshold,
     _span_rate,
     _write_rows,
     format_value,
@@ -63,8 +60,8 @@ from .waveform import (
 
 
 def _exact_log_scores(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The log-scores ``score`` computes from the text of ``flow`` and ``pressure``."""
-    return _log_scores_array(*_read_back(np.concatenate([flow, pressure])).reshape(2, -1), params)
+    """The log-scores ``score`` writes for the text of ``flow`` and ``pressure``, read back."""
+    return _read_back(_log_scores_array(*_read_back(np.concatenate([flow, pressure])).reshape(2, -1), params))
 
 
 def _pipeline_rate(cfg: MockConfig, n: int) -> float:
@@ -79,24 +76,24 @@ class _HoldReports:
     """Hold segments and their reports from a recording given block by block.
 
     :meth:`feed` takes each block's ``[t, flow, pressure, volume]``, only t read
-    back, and log-scores that are exact within ``B`` of a translated threshold
-    (everywhere with ``exact`` or without a proven ``B``), as :meth:`log_scores`
-    gives them, and elsewhere scored from the values as generated, which meet each
-    threshold as the exact ones do.  A resumable hold scan (``detection._HoldScan``)
-    compares them with the translated thresholds.  A segment ``[a, b)`` it finishes
-    is reported on samples ``[a - lookback, b)`` (``VOLUME_LOOKBACK_S`` at the
-    rate), whose flow, pressure and volume are read back in one call and whose
-    log-scores are computed from them and read back: the report of the whole
-    recording.  Between blocks only the samples from ``lookback`` before the scan's
-    current run, or before its position when no run is open or pending, are kept.
+    back, and its log-scores as :meth:`log_scores` gives them: those ``score``
+    writes within ``B`` of a threshold (everywhere with ``exact`` or without a
+    proven ``B``), and elsewhere scored from the values as generated, which meet
+    each threshold as those ``score`` writes do.  A resumable hold scan
+    (``detection._HoldScan``) compares them with the thresholds of ``config``.
+    A segment ``[a, b)`` it finishes is reported on samples ``[a - lookback,
+    b)`` (``VOLUME_LOOKBACK_S`` at the rate), whose flow, pressure and volume
+    are read back in one call and whose log-scores are computed from them and
+    read back: the report of the whole recording.  Between blocks only the
+    samples from ``lookback`` before the scan's current run, or before its
+    position when no run is open or pending, are kept.
     """
 
     def __init__(self, config: DetectionConfig, params: ModelParams, rate: float,
                  peep: float | None, save_segments=None, exact: bool = False) -> None:
-        on, off = (_read_back_threshold(v) for v in (config.log_threshold_on, config.log_threshold_off))
-        self._scan = _HoldScan(replace(config, log_threshold_on=on, log_threshold_off=off), rate)
+        self._scan = _HoldScan(config, rate)
         self._params = params
-        self._near = [v for v in (on, off) if np.isfinite(v)]
+        self._near = [v for v in (config.log_threshold_on, config.log_threshold_off) if np.isfinite(v)]
         self._band = np.inf if exact else _read_back_band(params, self._near)
         self._rate = rate
         self._lookback = _samples(VOLUME_LOOKBACK_S, rate)
@@ -107,7 +104,7 @@ class _HoldReports:
         self._lines: list[str] = []
 
     def log_scores(self, flow: np.ndarray, pressure: np.ndarray) -> np.ndarray:
-        """A block's log-scores for the hold scan, exact within the band of a threshold."""
+        """A block's log-scores for the hold scan, those ``score`` writes within the band of a threshold."""
         if self._band == np.inf:
             return _exact_log_scores(flow, pressure, self._params)
         ls = _log_scores_array(flow, pressure, self._params)

@@ -396,6 +396,9 @@ def format_value(v: float) -> str:
 # 10**k for k = 0..22, each exact in float64 (5**22 < 2**53).
 _POW10 = np.array([float(10**k) for k in range(23)])
 
+# A read-back moves a value by at most this much of itself: half a unit in its 9th digit, and a rounding.
+_READ_BACK_RTOL = 5.01e-9
+
 
 def _read_back(values) -> np.ndarray:
     """``float(format_value(v))`` for each value, bit for bit, without the text.
@@ -431,34 +434,6 @@ def _read_back(values) -> np.ndarray:
             text = (f"%.{CSV_DIGITS}g\n" * len(j)) % tuple(x[j].tolist())
             r[j] = [float(v) for v in text.split()]
     return r
-
-
-def _read_back_threshold(thr: float) -> float:
-    """The least float ``x`` with ``float(format_value(x)) >= thr``.
-
-    The read-back is monotone, so a value reads back to ``>= thr`` exactly
-    where it is ``>= x``.  ``x`` lies next to the tie below the first decimal
-    that reads back to ``>= thr``: ``thr``'s own 9-digit decimal, or the next.
-    A step or two of one float (for subnormals, more decimals than floats)
-    finds it, so a few values are formatted whatever ``thr`` is.
-    """
-    if not math.isfinite(thr) or thr == 0.0:
-        return thr  # only -inf, inf and zeros of either sign read back to them
-    text = f"{thr:.{CSV_DIGITS - 1}e}"
-    digits, exp = text.split("e")
-    d = int(digits.replace(".", ""))
-    # in units of 10**(exp - 10), decimals lie 100 apart, 10 toward 0 from d = 1e8
-    one = 10 ** (CSV_DIGITS - 1)
-    if float(text) >= thr:
-        mid = 100 * d - (5 if d == one else 50)
-    else:
-        mid = 100 * d + (5 if d == -one else 50)
-    x = float(f"{mid}e{int(exp) - CSV_DIGITS - 1}")
-    while float(format_value(x)) < thr:
-        x = math.nextafter(x, math.inf)
-    while float(format_value(below := math.nextafter(x, -math.inf))) >= thr:
-        x = below
-    return x
 
 
 def _write_rows(stream: IO[str], header: tuple[str, ...] | None, columns) -> None:

@@ -35,7 +35,7 @@ from holdscan.stream import _exact_log_scores, _HoldReports, _stage_blocks
 from holdscan.mechanics import HEURISTICS_NOTE, report_hold
 from holdscan.mockgen import _BLOCK, _blocks, _sample_count
 from holdscan.scoring import LOG_Q_MAX, _log_scores_array, _read_back_band
-from holdscan.waveform import _read_back, _read_back_threshold, check_time_grid
+from holdscan.waveform import _read_back, check_time_grid
 
 
 def run_cli(argv, stdin_text=""):
@@ -638,9 +638,8 @@ class TestPipeline:
     @pytest.mark.parametrize("steps", [-1, 0, 1])
     @pytest.mark.parametrize("flag", ["--log-threshold-on", "--log-threshold-off"])
     def test_threshold_on_a_trace_value_matches_stages(self, tmp_path, flag, steps):
-        # pipeline compares its log-scores, not read back, with the thresholds
-        # translated; here a threshold is a log-score detect reads (the peak,
-        # or the one that closes the segment), or a float neighbour of it
+        # a threshold is a log-score detect reads (the peak, or the one that
+        # closes the segment), or a float neighbour of it
         gen = ["--seed", "7", "--duration-s", "120", "--hold", "60:2"]
         _, _, trace, segs = self.manual_composition(tmp_path, gen_args=gen)
         log_scores = [float(line.split(",")[1]) for line in trace.splitlines()[1:]]
@@ -739,7 +738,7 @@ def read_back_pass(cfg, params, config=DetectionConfig(), exact=False):
     """pipeline's blocks joined as it feeds them to the hold scan: t read
     back, flow, pressure and volume as generated, and the log-scores of
     ``_HoldReports.log_scores``, or where ``exact`` (as with --save-trace)
-    those of the read-back flow and pressure."""
+    those ``score`` writes."""
     reports = _HoldReports(config, params, 1.0, None, exact=exact)
     blocks = [(_read_back(t), flow, pressure, volume, reports.log_scores(flow, pressure))
               for _, t, flow, pressure, volume in _blocks(cfg, _sample_count(cfg))]
@@ -747,11 +746,10 @@ def read_back_pass(cfg, params, config=DetectionConfig(), exact=False):
 
 
 def meets_thresholds(scores, ref, config):
-    """Whether pipeline's log-scores meet the translated thresholds where
-    the read-back log-scores ``ref`` of the stages meet the thresholds."""
+    """Whether pipeline's log-scores meet the thresholds where the read-back
+    log-scores ``ref`` of the stages do."""
     on, off = config.log_threshold_on, config.log_threshold_off
-    return (np.array_equal(scores >= _read_back_threshold(on), ref >= on)
-            and np.array_equal(scores < _read_back_threshold(off), ref < off))
+    return np.array_equal(scores >= on, ref >= on) and np.array_equal(scores < off, ref < off)
 
 
 def block_pass(cfg, params):
@@ -779,7 +777,7 @@ class TestReadBackPass:
         assert t.tobytes() == ref_w.t.tobytes()
         for name, made in zip(("flow", "pressure", "volume"), values):
             assert _read_back(made).tobytes() == getattr(ref_w, name).tobytes()
-        assert _read_back(exact).tobytes() == ref_trace.log_scores.tobytes()
+        assert exact.tobytes() == ref_trace.log_scores.tobytes()
         assert meets_thresholds(scores, ref_trace.log_scores, DetectionConfig())
         assert check_time_grid(t) == ref_w.sample_rate_hz == ref_trace.sample_rate_hz
 
@@ -879,6 +877,9 @@ class TestHoldReports:
 
 # the greatest log-score, at ln q = LOG_Q_MAX
 _TOP = LOG_Q_MAX - math.log1p(-math.exp(LOG_Q_MAX))
+# thresholds at the edges of the read-back: a 9-digit tie, -10 (the band
+# tests also take float neighbours of each), subnormals, zeros and infinities
+_EDGE_THRESHOLDS = [1.234567895, -10.0, 5e-324, -5e-324, 1e-320, 0.0, -0.0, math.inf, -math.inf]
 
 
 def _decades(lo, hi):
@@ -931,11 +932,13 @@ class TestBandPath:
 
     @staticmethod
     def draw_config(data, ref, focus):
-        """Thresholds at a sample's exact log-score, at the log1p switch or
-        at the ceiling, or a few floats from there, one of them or both."""
+        """Thresholds at a sample's exact log-score, at the log1p switch, at
+        the ceiling or at an edge of the read-back, or a few floats from there,
+        one of them or both."""
         i = focus if focus is not None else data.draw(st.integers(0, len(ref) - 1))
         anchors = [float(v) for v in (ref[i], np.max(ref)) if not np.isnan(v)]  # nan where the model is
-        thr = data.draw(st.sampled_from([*anchors[:1] * 3, *anchors, -40.0, _TOP]))
+        thr = data.draw(st.sampled_from([*anchors[:1] * 3, *anchors, -40.0, _TOP])
+                        | st.sampled_from(_EDGE_THRESHOLDS))
         steps = data.draw(st.integers(-2, 2))
         for _ in range(abs(steps)):
             thr = float(np.nextafter(thr, math.copysign(math.inf, steps)))
@@ -948,7 +951,7 @@ class TestBandPath:
     @given(case=_band_cases(), data=st.data())
     def test_matches_exact_path(self, case, data):
         cfg, params, size, focus = case
-        ref = _read_back(read_back_pass(cfg, params, exact=True)[-1])
+        ref = read_back_pass(cfg, params, exact=True)[-1]
         configs = [self.draw_config(data, ref, focus) for _ in range(4)]
         for config in configs:
             assert meets_thresholds(read_back_pass(cfg, params, config)[-1], ref, config)
@@ -959,22 +962,40 @@ class TestBandPath:
     @settings(max_examples=100, deadline=None)
     @given(case=_band_cases(), data=st.data())
     def test_band_bounds_the_read_back(self, case, data):
-        # at a threshold translated from any sample's exact log-score, or
-        # from a float next to it, each log-score of the values as generated
-        # that lies outside the threshold's band meets it as the exact one does
+        # at a threshold at any sample's exact log-score, or a float next to
+        # it, each log-score of the values as generated that lies outside the
+        # threshold's band meets it as the one score writes does
         cfg, params, _, focus = case
-        made, _ = generate_mock_waveform(cfg)
-        scores = _log_scores_array(made.flow, made.pressure, params)
-        exact = _exact_log_scores(made.flow, made.pressure, params)
-        ref = _read_back(exact)
+        scores, ref = self.scored(cfg, params)
         picks = data.draw(st.lists(st.integers(0, len(ref) - 1), min_size=1, max_size=20))
-        for v in {*ref[picks + [focus or 0]].tolist(), -40.0, _TOP}:
-            for thr in (v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)):
-                t = _read_back_threshold(float(thr))
-                band = _read_back_band(params, [t])
-                if math.isfinite(t) and band < math.inf:
-                    far = ~(np.abs(scores - t) <= band)
-                    assert np.array_equal((scores >= t)[far], (exact >= t)[far])
+        for v in [*ref[picks + [focus or 0]].tolist(), -40.0, _TOP, *_EDGE_THRESHOLDS]:
+            self.assert_bounded(scores, ref, params,
+                                [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])
+
+    def test_band_bounds_the_read_back_of_the_log_score(self):
+        # a wide model, where the read-back of a log-score near -10 moves it
+        # more than the read-back of its flow and pressure does
+        cfg = MockConfig(duration_s=12.0, holds=((4.0, 2.0),), rng_seed=0)
+        params = ModelParams(0.0, 1e4, 0.0, 1e3)
+        scores, ref = self.scored(cfg, params)
+        self.assert_bounded(scores, ref, params, ref.tolist())
+
+    @staticmethod
+    def scored(cfg, params):
+        """The log-scores of the values as generated, and those score writes."""
+        made, _ = generate_mock_waveform(cfg)
+        return (_log_scores_array(made.flow, made.pressure, params),
+                _exact_log_scores(made.flow, made.pressure, params))
+
+    @staticmethod
+    def assert_bounded(scores, ref, params, thresholds):
+        """Each of ``scores`` outside a threshold's band meets it as ``ref`` does."""
+        for thr in thresholds:
+            band = _read_back_band(params, [thr])
+            if math.isfinite(thr) and band < math.inf:
+                with np.errstate(over="ignore"):  # the float maximum less a log-score
+                    far = ~(np.abs(scores - thr) <= band)
+                assert np.array_equal((scores >= thr)[far], (ref >= thr)[far])
 
     @pytest.mark.parametrize("role", ["on", "off"])
     def test_straddling_sample_is_exact(self, role):
@@ -984,24 +1005,22 @@ class TestBandPath:
         cfg, params = MockConfig(duration_s=30.0, holds=((10.0, 2.0),), rng_seed=3), ModelParams()
         made, _ = generate_mock_waveform(cfg)
         scores = _log_scores_array(made.flow, made.pressure, params)
-        exact = _exact_log_scores(made.flow, made.pressure, params)
-        ref = _read_back(exact)
-        t = np.array([_read_back_threshold(v) for v in ref.tolist()])
-        k = np.flatnonzero((scores >= t) != (exact >= t))[0]
+        ref = _exact_log_scores(made.flow, made.pressure, params)
+        k = np.flatnonzero(scores < ref)[0]
         v = float(ref[k])
         config = DetectionConfig(v, v - 4.0) if role == "on" else DetectionConfig(v + 4.0, v)
         assert meets_thresholds(read_back_pass(cfg, params, config)[-1], ref, config)
 
     @given(mu=st.floats(allow_nan=False, allow_infinity=False),
            var=st.floats(5e-324, 1.7976931348623157e308),
-           thresholds=st.lists(st.floats(allow_nan=False), max_size=2))
+           thresholds=st.lists(st.floats(allow_nan=False) | st.sampled_from(_EDGE_THRESHOLDS), max_size=2))
     def test_band_is_quiet(self, mu, var, thresholds):
         # no OverflowError from any model or threshold
         for params in (ModelParams(mu, var, 15.0, 1.0), ModelParams(0.0, 1.0, mu, var)):
             assert _read_back_band(params, thresholds) >= 0.0
 
     def test_band_at_the_defaults(self):
-        band = _read_back_band(ModelParams(), [_read_back_threshold(-10.0), _read_back_threshold(-14.0)])
+        band = _read_back_band(ModelParams(), [-10.0, -14.0])
         assert 0.0 < band < 1e-5
         assert _read_back_band(ModelParams(mu_pressure=1e300), [-10.0]) == math.inf
         assert _read_back_band(ModelParams(var_flow=1e308), [-10.0]) == math.inf
@@ -1174,6 +1193,28 @@ class TestNumericValues:
             for argv in (["score", str(wave)], ["detect", str(trace), "--waveform", str(wave)],
                          ["report", str(wave), "--segments", str(segs)]):
                 assert_clean_failure(argv + rate)
+
+    @pytest.mark.parametrize("hold, fault", [
+        ("a:2", "hold spec 'a:2' must be numeric"),
+        ("1e400:2", "hold (inf, 2.0) must have a finite start and a positive, finite duration"),
+        ("1:nan", "hold (1.0, nan) must have a finite start and a positive, finite duration"),
+    ])
+    def test_hold_spec(self, hold, fault):
+        argv = ["pipeline", "--seed", "1", "--duration-s", "30", "--hold", hold]
+        assert_clean_failure(argv)
+        assert run_cli(argv)[2] == f"error: {fault}\n"
+
+    def test_segment_times_beyond_the_float_range(self, tmp_path):
+        # the inferred rate is 1 / 1.6e308 Hz, so the segment that opens at
+        # the second sample ends at index 2, beyond the float range in seconds
+        wave, trace = tmp_path / "w.csv", tmp_path / "t.csv"
+        wave.write_text("t,flow,pressure\n0,1,2\n1.6e308,1,2\n")
+        trace.write_text("t,log_score\n0,-1\n1.6e308,0\n")
+        argv = ["detect", str(trace), "--waveform", str(wave), "--log-threshold-on=-0.5",
+                "--log-threshold-off=-0.6", "--min-duration-s", "0"]
+        assert_clean_failure(argv)
+        want = "error: segment times must be finite, got [1.6000000000000004e+308, inf) s\n"
+        assert run_cli(argv)[2] == want
 
     def test_overflowing_noise_ends_in_one_error_line(self):
         assert_clean_failure(["pipeline", "--seed", "9", "--duration-s", "30", "--hold", "0:1",

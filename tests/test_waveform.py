@@ -1,5 +1,4 @@
 import io
-import math
 import warnings
 from unittest import mock
 
@@ -34,7 +33,6 @@ from holdscan.waveform import (
     _BlockCheck,
     _channel,
     _read_back,
-    _read_back_threshold,
     check_time_grid,
     format_value,
 )
@@ -562,60 +560,6 @@ def _near_ties(draw, exponents=st.integers(-40, 40)):
         v = 10.0**exponent
     v = draw(st.sampled_from([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]))
     return float(v) if draw(st.booleans()) else -float(v)
-
-
-def _steps(v, steps):
-    """``v`` moved ``steps`` floats up (or down, for ``steps < 0``)."""
-    for _ in range(abs(steps)):
-        v = math.nextafter(v, math.copysign(math.inf, steps))
-    return v
-
-
-# finite values, infinities and zeros of either sign, subnormals, values near
-# the float maximum, read-back values and near-ties, and float neighbours of
-# each
-_THRESHOLDS = st.tuples(
-    st.floats(allow_nan=False)
-    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-315, -1e-315,
-                       2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308])
-    | st.floats(min_value=-1e-305, max_value=1e-305)
-    | st.floats(min_value=1.797e308, allow_infinity=False)
-    | st.floats(max_value=-1.797e308, allow_infinity=False)
-    | st.floats(allow_nan=False).map(lambda v: float(format_value(v)))
-    | _near_ties(st.integers(-323, 308)),
-    st.integers(-3, 3),
-).map(lambda case: _steps(*case))
-
-
-class TestReadBackThreshold:
-    """_read_back_threshold: the least value that reads back to at least a threshold."""
-
-    @settings(max_examples=1000, deadline=None)
-    @given(thr=_THRESHOLDS)
-    def test_boundary(self, thr):
-        calls = []
-
-        def counted(v):
-            calls.append(v)
-            return format_value(v)
-
-        with mock.patch("holdscan.waveform.format_value", counted):
-            boundary = _read_back_threshold(thr)
-        # a few scalars formatted whatever the threshold
-        assert len(calls) <= 3
-        xs = [_steps(v, k) for v in (boundary, thr) for k in range(-4, 5)]
-        got = _read_back(np.array(xs)) >= thr
-        assert [x >= boundary for x in xs] == got.tolist()
-
-    def test_examples(self):
-        # the first float above the tie with the decimal below: -10.0000001
-        # and 0.999999999
-        assert _read_back_threshold(-10.0) == -10.000000049999999
-        assert _read_back_threshold(1.0) == 0.9999999995000001
-        # 1.23456789012 reads back below itself, so the next decimal is the target
-        assert _read_back_threshold(1.23456789012) == 1.234567895
-        assert _read_back_threshold(-math.inf) == -math.inf
-        assert _read_back_threshold(math.inf) == math.inf
 
 
 class TestReadBack:
