@@ -185,7 +185,7 @@ class _HoldScan:
 
 def _hold_segment(a: int, b: int, window: np.ndarray, rate: float) -> HoldSegment:
     """The segment of samples ``[a, b)``, whose log-scores are ``window``."""
-    peak = float(np.max(window))
+    peak = float(window.max())
     return HoldSegment(
         start_index=a,
         end_index=b,
@@ -198,16 +198,17 @@ def _hold_segment(a: int, b: int, window: np.ndarray, rate: float) -> HoldSegmen
 
 
 def _window_mean(window: np.ndarray) -> float:
-    """``np.mean(window)``, or where that is not finite, the mean of the
-    values scaled down: the finite mean where their sum left float64, and
-    -inf where the window holds -inf."""
+    """The mean of a non-empty window: ``np.mean``'s own sum and division
+    (``np.add.reduce``, then the sum over the length), or where that is not
+    finite, the mean of the values scaled down: the finite mean where their
+    sum left float64, and -inf where the window holds -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(window))
+        mean = float(np.add.reduce(window)) / len(window)
     if math.isfinite(mean):
         return mean
     # a power of two above the length keeps every partial sum of finite values in range
     scale = 2.0 ** len(window).bit_length()
-    return float(np.mean(window / scale)) * scale
+    return float(np.add.reduce(window / scale)) / len(window) * scale
 
 
 def summarize_segment(w: Waveform, seg: HoldSegment, offset: int = 0) -> HoldSummary:

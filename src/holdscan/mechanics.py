@@ -12,8 +12,8 @@ detected segment, and :func:`report_hold` assembles them into one report
 record per hold.  The where-to-read-from choices are heuristics, flagged in
 the report output: peak pressure and last positive flow come from a 1.0 s
 window before the hold, tidal volume from the volume rise over a 5.0 s
-lookback, and PEEP (when not supplied) from a low percentile of the lookback
-pressure.
+lookback, and PEEP (when not supplied) as numpy's ``linear`` 10th percentile
+of the lookback pressure.
 """
 
 from __future__ import annotations
@@ -90,7 +90,15 @@ def _samples(seconds: float, rate: float) -> int:
     return int(round(min(seconds * rate, 2.0**62)))
 
 
+def _check_index(w: Waveform, index: int, last: int) -> None:
+    """Refuse an ``index`` outside ``[0, last]``."""
+    if not 0 <= index <= last:
+        raise InvalidRange(f"index {index} out of bounds for {len(w)} samples")
+
+
 def _window_before(w: Waveform, index: int) -> slice | None:
+    """The pre-hold window before ``index`` (``0 <= index <= len(w)``); None if empty."""
+    _check_index(w, index, len(w))
     lo = max(0, index - _samples(PRE_WINDOW_S, w.sample_rate_hz))
     if lo >= index:
         return None
@@ -102,7 +110,7 @@ def peak_pressure_before(w: Waveform, index: int) -> float | None:
     sl = _window_before(w, index)
     if sl is None:
         return None
-    return float(np.max(w.pressure[sl]))
+    return float(w.pressure[sl].max())
 
 
 def last_positive_flow_before(w: Waveform, index: int) -> float | None:
@@ -124,8 +132,7 @@ def tidal_volume_before(w: Waveform, index: int) -> float | None:
     over the lookback.  The minimum tracks the start of the last inspiration,
     so the rise is the delivered tidal volume.
     """
-    if index < 0 or index >= len(w):
-        raise InvalidRange(f"index {index} out of bounds for {len(w)} samples")
+    _check_index(w, index, len(w) - 1)
     lo = max(0, index - _samples(VOLUME_LOOKBACK_S, w.sample_rate_hz))
     if w.volume is not None:
         vol = w.volume[lo : index + 1]
@@ -134,20 +141,51 @@ def tidal_volume_before(w: Waveform, index: int) -> float | None:
         flow_lps = w.flow[sl] / 60.0
         dt = np.diff(w.t[sl])
         vol = np.concatenate(([0.0], np.cumsum(dt * 0.5 * (flow_lps[1:] + flow_lps[:-1]))))
-    rise = float(vol[-1] - np.min(vol))
+    rise = float(vol[-1] - vol.min())
     if rise <= 0:
         return None
     return rise
 
 
+def _percentile(window: np.ndarray, q: float) -> float:
+    """``np.percentile(window, q)`` (numpy's ``linear`` method) of a finite,
+    non-empty window, bit for bit, without numpy's wrappers.
+
+    The virtual index ``v = (n - 1) * (q / 100)`` falls between the order
+    statistics ``i = floor(v)`` and ``i + 1``; from ``v >= n - 1`` on numpy
+    reads index -1 for both, with the weight ``v + 1``.  One partition with
+    numpy's own kth set ``{0, -1, i, i + 1}`` puts equal values (0.0 and
+    -0.0) where numpy puts them, and numpy's two-branch lerp runs in Python
+    floats.
+    """
+    n = len(window)
+    v = (n - 1) * (q / 100)
+    if v >= n - 1:
+        i = j = -1
+    else:
+        i = math.floor(v)
+        j = i + 1
+    g = v - i
+    part = window.copy()
+    part.partition(sorted({0, -1, i, j}))
+    a, b = float(part[i]), float(part[j])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def peep_estimate(w: Waveform, index: int) -> float:
-    """Low percentile of pre-hold pressure as the PEEP baseline."""
+    """The PEEP baseline: numpy's ``linear`` 10th percentile of the pressure
+    over the lookback up to and including ``index`` (``0 <= index < len(w)``).
+
+    Where the gap between the two neighbouring values leaves the float range,
+    it is the percentile of the halved values, doubled.
+    """
+    _check_index(w, index, len(w) - 1)
     lo = max(0, index - _samples(VOLUME_LOOKBACK_S, w.sample_rate_hz))
     window = w.pressure[lo : index + 1]
-    peep = float(np.percentile(window, PEEP_PERCENTILE))
+    peep = _percentile(window, PEEP_PERCENTILE)
     if not math.isfinite(peep):
-        # the gap between two neighbouring values left the float range
-        peep = float(np.percentile(window / 2.0, PEEP_PERCENTILE)) * 2.0
+        peep = _percentile(window / 2.0, PEEP_PERCENTILE) * 2.0
     return peep
 
 

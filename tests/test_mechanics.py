@@ -30,6 +30,7 @@ from holdscan import (
 )
 from holdscan.cli import run
 from holdscan.mechanics import (
+    _percentile,
     last_positive_flow_before,
     peak_pressure_before,
     peep_estimate,
@@ -195,6 +196,74 @@ class TestPreHoldHelpers:
         pressure = np.concatenate([np.full(90, 5.0), np.full(11, 20.0)])
         w = make_waveform(np.zeros(101), pressure, rate=20.0)
         assert peep_estimate(w, 100) == pytest.approx(5.0, abs=1e-9)
+
+    # peep_estimate's window includes index; the pre-hold windows end before it
+    @pytest.mark.parametrize("index", [-1, -5, 10, 60])
+    def test_peep_bad_index(self, index):
+        w = make_waveform(np.zeros(10), np.arange(10.0))
+        with pytest.raises(InvalidRange, match=f"index {index} out of bounds for 10 samples"):
+            peep_estimate(w, index)
+
+    @pytest.mark.parametrize("index", [-1, -5, 11, 60])
+    def test_peak_pressure_bad_index(self, index):
+        w = make_waveform(np.zeros(10), np.arange(10.0))
+        with pytest.raises(InvalidRange, match=f"index {index} out of bounds for 10 samples"):
+            peak_pressure_before(w, index)
+        assert peak_pressure_before(w, 10) == 9.0
+
+    @pytest.mark.parametrize("index", [-1, -5, 11, 60])
+    def test_last_positive_flow_bad_index(self, index):
+        w = make_waveform(np.full(10, 6.0), np.zeros(10))
+        with pytest.raises(InvalidRange, match=f"index {index} out of bounds for 10 samples"):
+            last_positive_flow_before(w, index)
+        assert last_positive_flow_before(w, 10) == 0.1
+
+    def test_peep_fallback_halves(self):
+        # 16 values put the 10th percentile halfway between sorted[1] = -1.7e308
+        # and sorted[2] = 1.7e308, whose gap leaves the float range
+        pressure = np.array([1.7e308] * 14 + [-1.7e308] * 2)
+        w = make_waveform(np.zeros(16), pressure, rate=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = peep_estimate(w, 15)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.percentile(pressure, 10.0))
+        assert _bits(got) == _bits(float(np.percentile(pressure / 2.0, 10.0)) * 2.0)
+        assert got == 0.0
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_ELEMENTS = [
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.sampled_from([1.7e308, -1.7e308]),
+    # few distinct values: ties between the neighbours of the percentile
+    st.integers(-8, 8).map(lambda k: k / 4),
+]
+
+
+class TestPercentile:
+    """``_percentile`` is ``np.percentile`` (method ``linear``) bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window=st.one_of(
+               # one kind of value per window, or all kinds mixed
+               *[st.lists(el, min_size=1, max_size=600) for el in _ELEMENTS],
+               st.lists(st.one_of(*_ELEMENTS), min_size=1, max_size=600)),
+           q=st.sampled_from([0.0, 10.0, 50.0, 100.0]) | st.floats(0.0, 100.0))
+    def test_same_bits_as_np_percentile(self, window, q):
+        arr = np.array(window)
+        with np.errstate(all="ignore"):
+            expected = float(np.percentile(arr, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _percentile(arr, q)
+        assert _bits(got) == _bits(expected)
+        assert arr.tobytes() == np.array(window).tobytes()  # the window is left as it was
 
 
 class TestReportHold:

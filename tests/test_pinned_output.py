@@ -4,7 +4,10 @@ The whole-array oracles of the generator share its kernels (SplitMix64,
 Box-Muller), so a change that moves a bit there moves both sides of those
 tests alike; these digests do not move with it.  They were recorded from the
 code as it was before the generator's kernels and the block pass were
-computed in place, and the commands' text never changed since.
+computed in place, and the commands' text never changed since.  The entry
+with 50 holds was recorded from the code as it was before the per-hold
+statistics (window means, extrema, the PEEP percentile) called numpy's
+primitives in place of its wrappers.
 """
 
 import hashlib
@@ -43,6 +46,20 @@ PINNED = {
         "79cb8614f3e5a1c277d1d40555476232aef570c2a90c4a536c17b964fedd106b",
     ),
 }
+# 50 holds of 2 to 3 s, one every 12 s: the per-hold statistics (means,
+# extrema, the PEEP percentile) on many segments
+DENSE = "--seed 17 --duration-s 600 " + " ".join(
+    f"--hold {12 * k + 5}:{2 + k % 3 * 0.5}" for k in range(50))
+PINNED[DENSE] = (
+    "1b827b2cbb4fcb068f1ab369e60e07c6bbd836852723727c4c0d5af9262d5c9b",
+    "b650cc42c7e64d9c724082e8f31040de350821be2b33b13043d9ab598bc25e1a",
+    "1ccdaebb2538a16884e862236b6a4967638126a645ef5a699dc0cb417219c89f",
+    "6c6d1f54dd08f33aeeed6c5b3579f77112b6a4fc5672164d4dcc2dffd2102ebb",
+)
+
+
+def _id(gen):
+    return "--seed 17 --duration-s 600, 50 holds every 12 s" if gen == DENSE else None
 
 
 def _stdout(argv) -> bytes:
@@ -55,7 +72,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("gen", PINNED)
+@pytest.mark.parametrize("gen", PINNED, ids=_id)
 def test_digests(tmp_path, gen):
     waveform, report, trace, segments = PINNED[gen]
     argv = gen.split()
@@ -69,7 +86,7 @@ def test_digests(tmp_path, gen):
     assert _sha256(saves["s.ndjson"].read_bytes()) == segments
 
 
-@pytest.mark.parametrize("gen", PINNED)
+@pytest.mark.parametrize("gen", PINNED, ids=_id)
 def test_report_digest_without_saves(gen):
     # without --save-trace, pipeline scores the values as generated and reads
     # back flow and pressure only near a threshold; the report is the same
