@@ -57,7 +57,6 @@ from .waveform import (
     load_waveform_csv,
     validate_waveform,
     waveform_to_csv,
-    write_waveform_csv,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +101,5 @@ __all__ = [
     "load_waveform_csv",
     "validate_waveform",
     "waveform_to_csv",
-    "write_waveform_csv",
     "__version__",
 ]

@@ -6,11 +6,10 @@ stdout and diagnostics on stderr.  Each command parses each of its inputs
 once.
 
 ``pipeline`` runs the four stages with the data flow of the separate
-commands, so its output is byte-identical to piping them by hand; its pass
-over the blocks of the recording is :mod:`holdscan.stream`, which never
-holds the whole recording.  A ``--save-*`` destination is written block by
-block to an unnamed temporary file and copied to its path, or to stdout for
-``-``, only when the run succeeds.
+commands, so its output is byte-identical to piping them by hand.  Neither
+it nor ``generate`` holds the whole recording (:mod:`holdscan.stream`): the
+CSV of ``generate`` and each ``--save-*`` text are staged in an unnamed
+temporary file and copied out only when the run succeeds.
 
 The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import functools
 import io
 import json
@@ -45,15 +45,15 @@ from .detection import (
 )
 from .errors import HoldscanError, InvalidConfig, MalformedRow
 from .mechanics import _check_peep, report_hold
-from .mockgen import MockConfig, _ground_truth, generate_mock_waveform
+from .mockgen import MockConfig, _ground_truth
 from .scoring import (
     ModelParams,
     load_score_trace_csv,
     score_series,
     write_score_trace_csv,
 )
-from .stream import _stage_blocks
-from .waveform import load_waveform_csv, waveform_to_csv
+from .stream import _generate_pass, _stage_blocks
+from .waveform import load_waveform_csv
 
 _MOCK_FIELD_NAMES = tuple(f.name for f in fields(MockConfig))
 
@@ -77,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# ground truth and --save-* destinations
+# ground truth and staged output
 
 
 def _ground_truth_text(cfg: MockConfig) -> str:
@@ -87,28 +87,22 @@ def _ground_truth_text(cfg: MockConfig) -> str:
     )
 
 
-class _Save:
-    """A ``--save-*`` destination that ``pipeline`` writes while it runs.
+# An unnamed temporary file, in TMPDIR, for text that _commit writes out.
+_staged = functools.partial(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="")
 
-    The text goes to an unnamed temporary file (in ``tempfile``'s directory,
-    ``TMPDIR``), which :meth:`commit` copies to the destination as the
-    separate commands write it: ``-`` to stdout, a path opened for writing at
-    the end.  So an error leaves no file behind and an existing one as it
-    was, a symlink is written through, and a file keeps its mode, owner and
-    links.  The temporary file is removed when it is closed.
+
+def _commit(path: str | None, staged, stdout) -> None:
+    """Copy ``staged`` to stdout for None or ``-``, else to ``path``, opened now.
+
+    So an error before leaves no file and an existing one as it was, a
+    symlink is written through, and a file keeps its mode, owner and links.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.stream = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-
-    def commit(self, stdout) -> None:
-        self.stream.seek(0)
-        if self.path == "-":
-            shutil.copyfileobj(self.stream, stdout)
-        else:
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                shutil.copyfileobj(self.stream, fh)
+    staged.seek(0)
+    if path is None or path == "-":
+        shutil.copyfileobj(staged, stdout)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(staged, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +218,8 @@ def _mock_config_from(ns: argparse.Namespace) -> MockConfig:
 def _read_input(path: str, stdin) -> str:
     try:
         if path == "-":
+            if stdin is None:  # the process was started with stdin closed
+                raise OSError("stdin is closed")
             data = stdin.read()
             return data.decode("utf-8") if isinstance(data, bytes) else data
         with open(path, "r", encoding="utf-8") as fh:
@@ -247,11 +243,11 @@ def _write_output(path: str | None, text: str, stdout) -> None:
 
 def _cmd_generate(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
-    w, _ = generate_mock_waveform(cfg)
-    wave_text = waveform_to_csv(w)
-    if ns.ground_truth is not None:
-        _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
-    _write_output(ns.output, wave_text, stdout)
+    with _staged() as staged:
+        _generate_pass(cfg, staged)
+        if ns.ground_truth is not None:
+            _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
+        _commit(ns.output, staged, stdout)
     return 0
 
 
@@ -306,21 +302,16 @@ def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
     params, config = _from_ns(ModelParams, ns), _from_ns(DetectionConfig, ns)
     peep = _check_peep(ns.peep)
-    saves: dict[str, _Save] = {}
-    try:
-        for name in ("save_waveform", "save_trace", "save_segments"):
-            if getattr(ns, name) is not None:
-                saves[name] = _Save(getattr(ns, name))
-        report_text = _stage_blocks(cfg, params, config, peep,
-                                    **{name: save.stream for name, save in saves.items()})
+    with contextlib.ExitStack() as stack:
+        saves = {name: stack.enter_context(_staged())
+                 for name in ("save_waveform", "save_trace", "save_segments")
+                 if getattr(ns, name) is not None}
+        report_text = _stage_blocks(cfg, params, config, peep, **saves)
         if ns.ground_truth is not None:
             _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
-        for save in saves.values():
-            save.commit(stdout)
+        for name, staged in saves.items():
+            _commit(getattr(ns, name), staged, stdout)
         _write_output(ns.output, report_text, stdout)
-    finally:
-        for save in saves.values():
-            save.stream.close()
     return 0
 
 
@@ -398,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    stdin = sys.stdin if stdin is None else stdin
+    # bytes, so that stdin is decoded as UTF-8 whatever the locale
+    stdin = getattr(sys.stdin, "buffer", sys.stdin) if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:

@@ -19,12 +19,12 @@ The recording can be computed in blocks (``_blocks``): every sample goes
 through the same operations as over the whole recording, each block draws
 its noise from its own samples' counters in the layout above, and the
 volume's running sum is carried across blocks, so the bytes do not depend on
-the block size.  ``pipeline`` takes blocks of ``_BLOCK`` samples and keeps
-only one of them, its temporaries and a few seconds of earlier samples at a
-time, so a recording of any length runs in bounded memory; a config may ask
-for at most ``MAX_SAMPLES`` samples.  Values beyond the float range become
-inf or nan without a numpy warning, and the recording's checks then reject
-them.
+the block size.  ``generate`` and ``pipeline`` take blocks of ``_BLOCK``
+samples and keep one of them and its temporaries (``pipeline`` also a few
+seconds of earlier samples) at a time, so a recording of any length runs in
+bounded memory; a config may ask for at most ``MAX_SAMPLES`` samples.
+Values beyond the float range become inf or nan without a numpy warning, and
+the recording's checks then reject them.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 16384
 
 # The most samples a recording may have: 2**32 is about 199 days at 250 Hz.
-# ``pipeline`` streams a recording of any length in bounded memory, so the
-# ceiling is what keeps a mistyped duration from running for years.
+# ``generate`` and ``pipeline`` stream a recording of any length in bounded
+# memory, so the ceiling is what keeps a mistyped duration from running for years.
 MAX_SAMPLES = 2**32
 
 
@@ -262,7 +262,7 @@ def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform,
     """
     n = _sample_count(config)
     # The whole recording is returned, so it is one block here; cache-sized
-    # blocks pay off where each is consumed while in cache (``pipeline``).
+    # blocks pay off where each is consumed while in cache (``generate``, ``pipeline``).
     _, t, flow, pressure, volume = next(_blocks(config, n, n))
     w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=config.sample_rate_hz,
                  volume=volume)

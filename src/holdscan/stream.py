@@ -1,16 +1,16 @@
-"""``pipeline``'s one pass over a generated recording, in bounded memory.
+"""The passes of ``generate`` and ``pipeline`` over a generated recording, in bounded memory.
 
-The separate commands only ever see the 9-digit text of the waveform and
-the score trace; ``pipeline`` computes the values a reader gives for that
-text in numpy (``waveform._read_back``) and writes the text only to save
-it.  :func:`_stage_blocks` takes the generator's blocks (``mockgen._blocks``)
-one at a time: each has its t read back, is checked as ``score`` checks a whole
-recording (by ``waveform._BlockCheck``, which holds the rule for the rate
-and the order of the faults), scored, written to the ``--save-*`` streams
-and fed to a resumable hold scan (``detection._HoldScan``).  Each segment is
-reported on its own window of samples (:class:`_HoldReports`).  When a check
-fails, :func:`_raise_first_error` finds the error the separate commands give
-in one more pass, with one such check for ``generate`` and one for ``score``.
+Both take the generator's blocks (``mockgen._blocks``) one at a time;
+``generate``'s (:func:`_generate_pass`) checks and writes them as they are.
+``pipeline`` computes the values a reader gives for the 9-digit text of the
+waveform and the score trace in numpy (``waveform._read_back``) and writes
+the text only to save it.  In :func:`_stage_blocks` each block has its t read
+back, is checked as ``score`` checks a whole recording (by
+``waveform._BlockCheck``, which holds the rule for the rate and the order of
+the faults), scored, written to the ``--save-*`` streams and fed to a
+resumable hold scan (``detection._HoldScan``).  Each segment is reported on
+its own window of samples (:class:`_HoldReports`).  When a check fails,
+:func:`_raise_first_error` finds the error the separate commands give.
 
 Per block, only t is read back, for the grid check.  The log-scores are those
 ``score`` writes (of the read-back flow and pressure, read back) within ``B``
@@ -22,12 +22,12 @@ same; wherever a decision could change, the hold scan compares the values
 ``detect`` reads with its thresholds.
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
-temporaries, a ring of the last ``mechanics.VOLUME_LOOKBACK_S`` seconds of
-every channel, the samples of the segment that is open or may still merge
-with the next, and the segment and report records, so memory does not grow
-with the recording.  It does where a segment, or a merge gap, is as long as
-the recording (for example with ``--log-threshold-on=-inf``).  The CLI
-stages ``--save-*`` text in temporary files, not in memory.
+temporaries; in ``pipeline`` also a ring of the last ``VOLUME_LOOKBACK_S``
+seconds of every channel, the samples of the segment that is open or may
+still merge with the next, and the segment and report records, which grow
+with the number of holds.  Where a segment, or a merge gap, is as long as
+the recording (``--log-threshold-on=-inf``), so is what is held.  The CLI
+stages the text it writes in temporary files, not in memory.
 """
 
 from __future__ import annotations
@@ -181,25 +181,34 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
         raise
 
 
-def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
-    """Raise what ``generate``, then ``score``, raise for the recording, if anything.
+def _generate_pass(cfg: MockConfig, out=None) -> None:
+    """``generate``'s pass: each block's CSV rows written to ``out``, if given, and
+    checked at the configured rate, so that, once every block is in, it raises
+    what ``generate_mock_waveform`` raises for the whole recording."""
+    check = _BlockCheck()
+    for start, t, *values in _blocks(cfg, _sample_count(cfg)):
+        check.feed(t, *values)
+        if out is not None:
+            _write_rows(out, _CHANNELS if start == 0 else None, (t, *values))
+    check.raise_first(cfg.sample_rate_hz)
 
-    One more pass over the blocks, which only checks: the generated values
-    at the configured rate, as ``generate`` checks them, then the values read
-    back at the rate ``score`` infers, then their log-scores.  A recording
-    that passes them fails only in detection, where the blocks meet the
-    segments in the order ``detect`` does.
+
+def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
+    """Raise what ``generate`` (:func:`_generate_pass`), then ``score``, raise, if anything.
+
+    ``score``'s checks take one more pass: the values read back, at the rate it
+    infers, then their log-scores.  A recording that passes them fails only in
+    detection, where the blocks meet the segments in the order ``detect`` does.
     """
-    made, read = _BlockCheck(), _BlockCheck()
+    _generate_pass(cfg)
+    read = _BlockCheck()
     scores_error = None
     for _, t, *values in _blocks(cfg, n):
-        made.feed(t, *values)
         read.feed(_read_back(t), *values)
         try:
             _check_log_scores(_exact_log_scores(*values[:2], params))
         except HoldscanError as exc:
             scores_error = scores_error or exc
-    made.raise_first(cfg.sample_rate_hz)
     read.raise_first()
     if scores_error is not None:
         raise scores_error

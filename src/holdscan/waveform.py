@@ -451,15 +451,11 @@ def _write_rows(stream: IO[str], header: tuple[str, ...] | None, columns) -> Non
         stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_waveform_csv(w: Waveform, stream: IO[str]) -> None:
-    """Write the waveform in the canonical CSV format (LF line endings)."""
-    if w.volume is None:
-        _write_rows(stream, _HEADER_BASE, (w.t, w.flow, w.pressure))
-    else:
-        _write_rows(stream, _CHANNELS, (w.t, w.flow, w.pressure, w.volume))
-
-
 def waveform_to_csv(w: Waveform) -> str:
+    """The waveform in the canonical CSV format (LF line endings)."""
     buf = io.StringIO()
-    write_waveform_csv(w, buf)
+    if w.volume is None:
+        _write_rows(buf, _HEADER_BASE, (w.t, w.flow, w.pressure))
+    else:
+        _write_rows(buf, _CHANNELS, (w.t, w.flow, w.pressure, w.volume))
     return buf.getvalue()

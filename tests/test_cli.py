@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holdscan
 from holdscan import (
     DetectionConfig,
     HoldscanError,
@@ -28,6 +31,7 @@ from holdscan import (
     score_series,
     segment_record,
     summarize_segment,
+    waveform_to_csv,
 )
 from holdscan import cli
 from holdscan.cli import run
@@ -303,6 +307,51 @@ class TestGenerate:
         assert code == 0
         assert out == ""
         assert dest.read_text().startswith("t,flow,pressure")
+
+
+@st.composite
+def _generated_configs(draw):
+    """A recording of 1 to 4 generator blocks and an odd number of samples,
+    with a hold across each block edge, or one anywhere when it has none;
+    its noise may overflow."""
+    rate = draw(st.sampled_from([7.3, 100.0, 250.0]))
+    blocks = draw(st.integers(1, 4))
+    n = 2 * draw(st.integers((blocks - 1) * _BLOCK // 2, (blocks * _BLOCK - 1) // 2)) + 1
+    duration = n / rate
+    edges = [k * _BLOCK / rate for k in range(1, blocks)] or [draw(st.floats(0.0, duration))]
+    holds = []
+    for edge in edges:
+        start = math.floor(max(0.0, edge - draw(st.floats(0.0, 1.5))) * 100) / 100
+        length = math.floor(min(draw(st.floats(0.05, 3.0)), duration - start) * 100) / 100
+        if length > 0:
+            holds.append((start, length))
+    return MockConfig(duration_s=duration, sample_rate_hz=rate, holds=tuple(holds) or ((0.0, duration),),
+                      noise_sd_flow=draw(st.sampled_from([1.0, 0.0, 1e308])),
+                      rng_seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestGenerateBlocks:
+    """generate writes its CSV block by block; the library's whole-recording writer is the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_generated_configs())
+    def test_matches_whole_recording(self, cfg):
+        argv = ["generate", "--seed", str(cfg.rng_seed), "--duration-s", repr(cfg.duration_s),
+                "--sample-rate-hz", repr(cfg.sample_rate_hz),
+                "--noise-sd-flow", repr(cfg.noise_sd_flow)]
+        argv += [f"--hold={s!r}:{d!r}" for s, d in cfg.holds]
+        try:
+            want = (0, waveform_to_csv(generate_mock_waveform(cfg)[0]), "")
+        except HoldscanError as exc:
+            want = (1, "", f"error: {exc}\n")
+        assert run_cli(argv) == want
+
+    def test_overflowing_noise(self):
+        cfg = MockConfig(duration_s=400.0, noise_sd_flow=1e308, rng_seed=9)
+        with pytest.raises(NonFiniteInput) as exc:
+            generate_mock_waveform(cfg)
+        argv = ["generate", "--seed", "9", "--duration-s", "400", "--noise-sd-flow", "1e308"]
+        assert run_cli(argv) == (1, "", f"error: {exc.value}\n")
 
 
 class TestConfigFile:
@@ -1070,46 +1119,70 @@ class TestSaveFiles:
         assert run_cli(argv) == (0, "", "")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ndjson", "s.ndjson", "t.csv", "w.csv"]
 
-    def test_missing_directory(self, tmp_path):
-        target = tmp_path / "no" / "w.csv"
-        code, out, err = run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])
-        assert (code, out) == (2, "")
-        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    # generate stages its CSV as pipeline stages --save-waveform; these fail in generate
+    @pytest.mark.parametrize("argv", [
+        FAILING_ARGV[0], FAILING_ARGV[2], FAILING_ARGV[3],
+        # every one of its three blocks is written before the error
+        ["--seed", "9", "--duration-s", "400", "--hold", "0:1", "--noise-sd-flow", "1e308"],
+    ])
+    def test_generate_failure_leaves_no_file(self, tmp_path, argv):
+        assert_clean_failure(["generate", *argv, "-o", str(tmp_path / "w.csv"),
+                              "--ground-truth", str(tmp_path / "g.ndjson")])
         assert list(tmp_path.iterdir()) == []
 
-    def test_replaces_existing_file(self, tmp_path):
-        target = tmp_path / "w.csv"
-        target.write_text("old\n")
-        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])[0] == 0
-        assert target.read_text() == run_cli(["generate", "--seed", "7"])[1]
-        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+    @staticmethod
+    def writers(tmp_path):
+        """Each command that stages a waveform CSV, the flag naming its file and a new directory."""
+        for command, flag in (("pipeline", "--save-waveform"), ("generate", "-o")):
+            (tmp_path / command).mkdir()
+            yield command, flag, tmp_path / command
 
-    def test_device_is_written_in_place(self):
-        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", os.devnull])[0] == 0
-        assert not os.path.isfile(os.devnull)
+    def test_missing_directory(self, tmp_path):
+        for command, flag, d in self.writers(tmp_path):
+            target = d / "no" / "w.csv"
+            code, out, err = run_cli([command, "--seed", "7", flag, str(target)])
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+            assert list(d.iterdir()) == []
+
+    def test_replaces_existing_file(self, tmp_path):
+        for command, flag, d in self.writers(tmp_path):
+            target = d / "w.csv"
+            target.write_text("old\n")
+            assert run_cli([command, "--seed", "7", flag, str(target)])[0] == 0
+            assert target.read_text() == run_cli(["generate", "--seed", "7"])[1]
+            assert [p.name for p in d.iterdir()] == ["w.csv"]
+
+    def test_device_is_written_in_place(self, tmp_path):
+        for command, flag, _ in self.writers(tmp_path):
+            assert run_cli([command, "--seed", "7", flag, os.devnull])[0] == 0
+            assert not os.path.isfile(os.devnull)
 
     def test_failure_leaves_existing_file(self, tmp_path):
-        target = tmp_path / "w.csv"
-        target.write_text("old\n")
-        assert_clean_failure(["pipeline", *FAILING_ARGV[0], "--save-waveform", str(target)])
-        assert target.read_text() == "old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+        for command, flag, d in self.writers(tmp_path):
+            target = d / "w.csv"
+            target.write_text("old\n")
+            assert_clean_failure([command, *FAILING_ARGV[0], flag, str(target)])
+            assert target.read_text() == "old\n"
+            assert [p.name for p in d.iterdir()] == ["w.csv"]
 
     def test_symlink_is_written_through(self, tmp_path):
-        (tmp_path / "real.csv").write_text("old\n")
-        (tmp_path / "link.csv").symlink_to("real.csv")
-        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(tmp_path / "link.csv")])[0] == 0
-        assert (tmp_path / "link.csv").is_symlink()
-        assert (tmp_path / "real.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+        for command, flag, d in self.writers(tmp_path):
+            (d / "real.csv").write_text("old\n")
+            (d / "link.csv").symlink_to("real.csv")
+            assert run_cli([command, "--seed", "7", flag, str(d / "link.csv")])[0] == 0
+            assert (d / "link.csv").is_symlink()
+            assert (d / "real.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
 
     def test_mode_and_links_kept(self, tmp_path):
-        target = tmp_path / "w.csv"
-        target.write_text("old\n")
-        target.chmod(0o600)
-        os.link(target, tmp_path / "other.csv")
-        assert run_cli(["pipeline", "--seed", "7", "--save-waveform", str(target)])[0] == 0
-        assert target.stat().st_mode & 0o777 == 0o600
-        assert (tmp_path / "other.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+        for command, flag, d in self.writers(tmp_path):
+            target = d / "w.csv"
+            target.write_text("old\n")
+            target.chmod(0o600)
+            os.link(target, d / "other.csv")
+            assert run_cli([command, "--seed", "7", flag, str(target)])[0] == 0
+            assert target.stat().st_mode & 0o777 == 0o600
+            assert (d / "other.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
 
 
 class TestPeep:
@@ -1318,6 +1391,39 @@ class TestNotUtf8:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: stdin is not UTF-8")
         assert err.getvalue().count("\n") == 1
+
+
+def run_command(argv, stdin, encoding=None):
+    """``python -m holdscan.cli argv`` with ``stdin`` (a file, or None for a
+    closed stdin) and ``PYTHONIOENCODING=encoding``: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(holdscan.__file__).resolve().parents[1]))
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    command = [sys.executable, "-m", "holdscan.cli", *argv]
+    if stdin is None:
+        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
+    done = subprocess.run(command, stdin=stdin, capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestStdinBytes:
+    """``-`` reads stdin's bytes as UTF-8, as a path is read, whatever the locale's codec."""
+
+    @pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
+    def test_stdin_as_path(self, tmp_path, encoding):
+        for name, comment in (("bad", b"\xff"), ("good", "caf\u00e9".encode())):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(VALID_WAVE.encode().replace(b"\n", b"\n# " + comment + b"\n", 1))
+            want = run_command(["score", str(path)], subprocess.DEVNULL, encoding)
+            with open(path, "rb") as fh:
+                code, out, err = run_command(["score", "-"], fh, encoding)
+            assert (code, out, err.replace(b"stdin", str(path).encode())) == want
+            assert code == (1 if name == "bad" else 0)
+
+    @pytest.mark.parametrize("argv", [["score", "-"], ["report", "-", "--segments", "s.ndjson"]])
+    def test_closed_stdin(self, argv):
+        assert run_command(argv, None) == (2, b"", b"error: stdin is closed\n")
 
 
 class TestNoDataRows:
