@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The console-script checks: argparse's usage error and the help screens,
-# pipeline against the four commands it stands for, and pipeline's errors
-# against those of the separate commands.  HOLDSCAN is the command that runs
-# holdscan, split into words (default: holdscan).  For example:
+# a closed stdout, pipeline against the four commands it stands for, and
+# pipeline's errors against those of the separate commands.  HOLDSCAN is
+# the command that runs holdscan, split into words (default: holdscan).
+# For example:
 #
 #   bash scripts/cli_checks.sh
 #   PYTHONPATH=src HOLDSCAN="python -m holdscan.cli" bash scripts/cli_checks.sh
@@ -30,6 +31,32 @@ for sub in generate score detect report pipeline; do
   holdscan "$sub" --help > /dev/null
 done
 echo "ok: usage error and help"
+
+# with stdout closed, each command that writes there ends in exit 2 and one
+# error: line, and writes no file; generate with -o writes the same bytes
+# as with stdout open
+d=$(tmp)
+gen=(--seed 7 --duration-s 30 --hold 10:2)
+holdscan generate "${gen[@]}" -o "$d/w.csv"
+holdscan score "$d/w.csv" -o "$d/t.csv"
+holdscan detect "$d/t.csv" --waveform "$d/w.csv" -o "$d/s.ndjson"
+closed() {
+  local status=0
+  holdscan "$@" >&- 2> "$d/err" || status=$?
+  test "$status" -eq 2
+  test "$(wc -l < "$d/err")" -eq 1
+  test "$(cat "$d/err")" = "error: stdout is closed"
+}
+closed generate "${gen[@]}" --ground-truth "$d/g.ndjson"
+closed score "$d/w.csv"
+closed detect "$d/t.csv" --waveform "$d/w.csv"
+closed report "$d/w.csv" --segments "$d/s.ndjson"
+closed pipeline "${gen[@]}" --save-waveform "$d/pw.csv"
+test ! -e "$d/g.ndjson"
+test ! -e "$d/pw.csv"
+holdscan generate "${gen[@]}" -o "$d/closed.csv" >&-
+cmp "$d/closed.csv" "$d/w.csv"
+echo "ok: closed stdout"
 
 # pipeline must write what the four commands write through files; the
 # second recording is 35000 samples at 250 Hz, which is no multiple of

@@ -7,9 +7,10 @@ once.
 
 ``pipeline`` runs the four stages with the data flow of the separate
 commands, so its output is byte-identical to piping them by hand.  Neither
-it nor ``generate`` holds the whole recording (:mod:`holdscan.stream`): the
-CSV of ``generate`` and each ``--save-*`` text are staged in an unnamed
-temporary file and copied out only when the run succeeds.
+it nor ``generate`` holds the whole recording (:mod:`holdscan.stream`).  A
+command that succeeds hands its outputs to :func:`_commit`, the one writer
+of stdout and output paths; each is staged in an unnamed temporary file,
+but pipeline's report and the ground truth, short strings, are not.
 
 The CSV readers take canonical text (what the writers emit) through a
 vectorized fast path and fall back to a line-by-line parser for anything
@@ -17,9 +18,9 @@ else, which also produces the per-line error messages.
 
 The parser is built once per process, on the first :func:`run`.
 
-Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error; each
-error is one ``error:`` line on the ``stderr`` given to :func:`run`, argparse's
-own included.
+Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error (a
+closed stdin or stdout included); each error is one ``error:`` line on the
+``stderr`` given to :func:`run`, argparse's own included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import argparse
 import ast
 import contextlib
 import functools
-import io
 import json
 import shutil
 import sys
@@ -77,32 +77,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# ground truth and staged output
-
-
-def _ground_truth_text(cfg: MockConfig) -> str:
-    return "".join(
-        json.dumps({"start_s": s, "end_s": e}) + "\n"
-        for s, e in _ground_truth(cfg).hold_segments
-    )
+# staged output
 
 
 # An unnamed temporary file, in TMPDIR, for text that _commit writes out.
 _staged = functools.partial(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="")
 
 
-def _commit(path: str | None, staged, stdout) -> None:
-    """Copy ``staged`` to stdout for None or ``-``, else to ``path``, opened now.
+def _commit(outputs, stdout) -> None:
+    """Write each ``(path, text)`` of a command that has succeeded, in order,
+    to stdout for None or ``-``, else to ``path``, opened now.
 
-    So an error before leaves no file and an existing one as it was, a
-    symlink is written through, and a file keeps its mode, owner and links.
+    So an error before, or a closed stdout (None), leaves no file and an
+    existing one as it was, a symlink is written through, and a file keeps
+    its mode, owner and links.  ``text`` is ``_staged``, or a short ``str``:
+    a ``StringIO`` would hold 4 bytes a character.
     """
-    staged.seek(0)
-    if path is None or path == "-":
-        shutil.copyfileobj(staged, stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            shutil.copyfileobj(staged, fh)
+    if stdout is None and any(path in (None, "-") for path, _ in outputs):
+        raise OSError("stdout is closed")
+    for path, text in outputs:
+        with (contextlib.nullcontext(stdout) if path in (None, "-")
+              else open(path, "w", encoding="utf-8", newline="")) as fh:
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                text.seek(0)
+                shutil.copyfileobj(text, fh)
+
+
+def _ground_truth_output(ns, cfg: MockConfig) -> list:
+    """``[(path, text)]`` of ``--ground-truth``, or ``[]`` without it."""
+    if ns.ground_truth is None:
+        return []
+    return [(ns.ground_truth, "".join(json.dumps({"start_s": s, "end_s": e}) + "\n"
+                                      for s, e in _ground_truth(cfg).hold_segments))]
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +237,6 @@ def _read_input(path: str, stdin) -> str:
         raise MalformedRow(f"{name} is not UTF-8 text: {exc}") from None
 
 
-def _write_output(path: str | None, text: str, stdout) -> None:
-    if path is None or path == "-":
-        stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -245,18 +245,16 @@ def _cmd_generate(ns, stdin, stdout, stderr) -> int:
     cfg = _mock_config_from(ns)
     with _staged() as staged:
         _generate_pass(cfg, staged)
-        if ns.ground_truth is not None:
-            _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
-        _commit(ns.output, staged, stdout)
+        _commit([*_ground_truth_output(ns, cfg), (ns.output, staged)], stdout)
     return 0
 
 
 def _cmd_score(ns, stdin, stdout, stderr) -> int:
     w = load_waveform_csv(_read_input(ns.waveform, stdin), ns.expected_rate_hz)
     trace = score_series(w, _from_ns(ModelParams, ns))
-    buf = io.StringIO()
-    write_score_trace_csv(w.t, trace, buf, linear=ns.linear)
-    _write_output(ns.output, buf.getvalue(), stdout)
+    with _staged() as staged:
+        write_score_trace_csv(w.t, trace, staged, linear=ns.linear)
+        _commit([(ns.output, staged)], stdout)
     return 0
 
 
@@ -277,11 +275,10 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
             f"trace rate {trace.sample_rate_hz} Hz does not match waveform rate "
             f"{w.sample_rate_hz} Hz"
         )
-    buf = io.StringIO()
-    write_segments_ndjson(
-        [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)], buf
-    )
-    _write_output(ns.output, buf.getvalue(), stdout)
+    records = [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)]
+    with _staged() as staged:
+        write_segments_ndjson(records, staged)
+        _commit([(ns.output, staged)], stdout)
     return 0
 
 
@@ -292,9 +289,10 @@ def _cmd_report(ns, stdin, stdout, stderr) -> int:
     wave_text = _read_input(ns.waveform, stdin)
     seg_text = _read_input(ns.segments, stdin)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    out = "".join(json.dumps(report_hold(w, rec, peep)) + "\n"
-                  for rec in read_segments_ndjson(seg_text))
-    _write_output(ns.output, out, stdout)
+    with _staged() as staged:
+        for rec in read_segments_ndjson(seg_text):
+            staged.write(json.dumps(report_hold(w, rec, peep)) + "\n")
+        _commit([(ns.output, staged)], stdout)
     return 0
 
 
@@ -306,12 +304,9 @@ def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
         saves = {name: stack.enter_context(_staged())
                  for name in ("save_waveform", "save_trace", "save_segments")
                  if getattr(ns, name) is not None}
-        report_text = _stage_blocks(cfg, params, config, peep, **saves)
-        if ns.ground_truth is not None:
-            _write_output(ns.ground_truth, _ground_truth_text(cfg), stdout)
-        for name, staged in saves.items():
-            _commit(getattr(ns, name), staged, stdout)
-        _write_output(ns.output, report_text, stdout)
+        report = _stage_blocks(cfg, params, config, peep, **saves)
+        saved = [(getattr(ns, name), staged) for name, staged in saves.items()]
+        _commit([*_ground_truth_output(ns, cfg), *saved, (ns.output, report)], stdout)
     return 0
 
 

@@ -9,11 +9,13 @@ volumes balance per breath.  A configured hold overrides the template (flow
 zero, pressure at plateau) without pausing the breath clock, and white
 Gaussian noise is added everywhere on both channels.
 
-Randomness is fully specified so the same seed gives the same bytes on any
-platform: SplitMix64 in counter mode supplies 64-bit words, and Gaussians
-come from the Box-Muller transform (cosine branch only, one variate per pair
-of words).  Flow-noise sample i consumes counters (2i, 2i+1); pressure-noise
-sample i consumes counters (2n+2i, 2n+2i+1) for an n-sample waveform.
+Randomness is fully specified: SplitMix64 in counter mode supplies 64-bit
+words, the same for a seed on any platform, and Gaussians come from the
+Box-Muller transform (cosine branch only, one variate per pair of words).
+Flow-noise sample i consumes counters (2i, 2i+1); pressure-noise sample i
+consumes counters (2n+2i, 2n+2i+1) for an n-sample waveform.  numpy's exp
+and log differ in the last bit between CPUs, so a long recording can differ
+in a 9-digit value (README, "Reproducibility").
 
 The recording can be computed in blocks (``_blocks``): every sample goes
 through the same operations as over the whole recording, each block draws

@@ -27,7 +27,8 @@ seconds of every channel, the samples of the segment that is open or may
 still merge with the next, and the segment and report records, which grow
 with the number of holds.  Where a segment, or a merge gap, is as long as
 the recording (``--log-threshold-on=-inf``), so is what is held.  The CLI
-stages the text it writes in temporary files, not in memory.
+stages the CSV and NDJSON texts in temporary files; only the report text,
+which grows with the number of holds, is held in memory.
 """
 
 from __future__ import annotations

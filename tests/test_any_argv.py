@@ -4,8 +4,10 @@
 are drawn from the edges of the float range and from text that is no
 number; ``--config`` files and the input files are drawn as canonical text
 with random edits, and waveform and trace files also as a few rows with
-timestamps at the edges of the float range.  The durations and rates that can be drawn cap a
-recording at 90 s x 250 Hz, or make it fail its checks before anything is
+timestamps at the edges of the float range, or as rows on a 100 Hz grid
+with channel values there, which ``score``, ``detect`` and ``report`` must
+take or refuse with exit 1.  The durations and rates that can be drawn cap
+a recording at 90 s x 250 Hz, or make it fail its checks before anything is
 allocated.
 """
 
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holdscan import cli
-from test_any_bytes import _edge_files, _edited
+from test_any_bytes import _edge_channel_files, _edge_files, _edited
 
 EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "1" * 400, "abc", ""]
 
@@ -171,8 +173,9 @@ def _minus_infinity(text):
     return "-Infinity"
 
 
-def _run_and_check(argv, files):
-    """Run ``argv`` on ``files`` in a fresh directory; output or one error line, no warning."""
+def _run_and_check(argv, files, codes=(0, 1, 2)):
+    """Run ``argv`` on ``files`` in a fresh directory; output or one error
+    line, no warning, and an exit code in ``codes``.  Returns the output."""
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
             with open(os.path.join(d, name), "wb") as fh:
@@ -184,7 +187,7 @@ def _run_and_check(argv, files):
             warnings.simplefilter("error")
             code = cli.run(argv, stdin=io.StringIO(""), stdout=out, stderr=err)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2)
+    assert code in codes
     assert console.getvalue() == ""  # not even argparse writes to sys.stderr
     if code == 0:
         assert err == ""
@@ -199,6 +202,7 @@ def _run_and_check(argv, files):
             record = json.loads(line, parse_constant=_minus_infinity)
             for key, value in record.items():
                 assert value != "-Infinity" or key in ("peak_log_score", "mean_log_score")
+    return out
 
 
 class TestAnyCommandLine:
@@ -211,3 +215,14 @@ class TestAnyCommandLine:
     @given(case=_edge_command())
     def test_timestamps_at_the_float_edge(self, case):
         _run_and_check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(files=_edge_channel_files())
+    def test_channels_at_the_float_edge(self, files):
+        # report reads the segments that detect writes, if any
+        wave, trace = files
+        _run_and_check(["score", "w.csv"], {"w.csv": wave}, codes=(0, 1))
+        segments = _run_and_check(["detect", "t.csv", "--waveform", "w.csv"],
+                                  {"w.csv": wave, "t.csv": trace}, codes=(0, 1))
+        _run_and_check(["report", "w.csv", "--segments", "s.ndjson"],
+                       {"w.csv": wave, "s.ndjson": segments.encode("utf-8")}, codes=(0, 1))

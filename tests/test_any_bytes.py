@@ -79,6 +79,32 @@ def _edge_files(draw):
     return wave.encode("ascii"), trace.encode("ascii")
 
 
+# channel values at the edges of the float range, and ordinary ones
+_EDGE_CHANNEL_VALUES = [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 5e-324,
+                        -5e-324, 0.0, -0.0, 0.5, -30.0, 5.0, 15.0, 25.0]
+
+
+@st.composite
+def _edge_channel_files(draw):
+    """Waveform and trace bytes of 2 to 800 rows on a 100 Hz grid: flow,
+    pressure and maybe volume in runs of edge and ordinary values, and
+    log-scores in runs, those at 0 long enough to open segments."""
+    n = draw(st.integers(2, 800))
+
+    def runs(values):
+        column = []
+        while len(column) < n:
+            column += [draw(st.sampled_from(values))] * draw(st.integers(1, 200))
+        return column[:n]
+
+    names = ["t", "flow", "pressure", "volume"][: draw(st.integers(3, 4))]
+    columns = [[i / 100.0 for i in range(n)], *(runs(_EDGE_CHANNEL_VALUES) for _ in names[1:])]
+    log_scores = runs([0.0, -12.0, -20.0, float("-inf")])
+    wave = ",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+    trace = "t,log_score\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(columns[0], log_scores))
+    return wave.encode("ascii"), trace.encode("ascii")
+
+
 def _loads(data, expected_rate_hz=None):
     """Every reader's outcome for the bytes; a value or a HoldscanError each."""
     readers = (lambda source: load_waveform_csv(source, expected_rate_hz),

@@ -1088,8 +1088,35 @@ FAILING_ARGV = [
 ]
 
 
+# a short recording with one hold, whose report has a record
+RECORDING = ["--seed", "6", "--duration-s", "10", "--hold", "4:1"]
+
+
+def stage_files(d):
+    """The waveform, trace and segment files of ``RECORDING``, written to the directory ``d``."""
+    d.mkdir(exist_ok=True)
+    argv = each_command(d)
+    for command, name in (("generate", "w.csv"), ("score", "t.csv"), ("detect", "s.ndjson")):
+        assert run_cli([*argv[command], "-o", str(d / name)])[0] == 0
+    return d
+
+
+def each_command(d, recording=RECORDING, wave=None):
+    """The argv of each command by name: ``generate`` and ``pipeline`` on
+    ``recording``, the others on the files of :func:`stage_files` in ``d``,
+    with the waveform file ``wave`` in its place if given."""
+    w = str(wave or d / "w.csv")
+    return {
+        "generate": ["generate", *recording],
+        "score": ["score", w],
+        "detect": ["detect", str(d / "t.csv"), "--waveform", w],
+        "report": ["report", w, "--segments", str(d / "s.ndjson")],
+        "pipeline": ["pipeline", *recording],
+    }
+
+
 class TestSaveFiles:
-    """--save-* text is staged while pipeline runs, and written out only when it succeeds."""
+    """Each output is staged while its command runs, and written out only when it succeeds."""
 
     @staticmethod
     def saves(tmp_path):
@@ -1132,57 +1159,79 @@ class TestSaveFiles:
 
     @staticmethod
     def writers(tmp_path):
-        """Each command that stages a waveform CSV, the flag naming its file and a new directory."""
-        for command, flag in (("pipeline", "--save-waveform"), ("generate", "-o")):
-            (tmp_path / command).mkdir()
-            yield command, flag, tmp_path / command
+        """Each output that can go to a path: a new directory, the argv that
+        writes it to the path appended, and one that fails before it does."""
+        inputs = stage_files(tmp_path / "in")
+        (inputs / "bad.csv").write_text("t,flow,pressure\n0,x,15\n")
+        ok, fail = each_command(inputs), each_command(inputs, FAILING_ARGV[0], inputs / "bad.csv")
+        for i, (command, flags) in enumerate([
+            ("pipeline", ["-o", os.devnull, "--save-waveform"]),
+            ("generate", ["-o"]),
+            ("generate", ["-o", os.devnull, "--ground-truth"]),
+            ("score", ["-o"]), ("detect", ["-o"]), ("report", ["-o"]),
+        ]):
+            (tmp_path / str(i)).mkdir()
+            yield tmp_path / str(i), [*ok[command], *flags], [*fail[command], *flags]
+
+    @staticmethod
+    def written(argv):
+        """What ``argv`` writes to its path, written to stdout with ``-``."""
+        code, out, _ = run_cli([*argv, "-"])
+        assert code == 0 and out
+        return out
 
     def test_missing_directory(self, tmp_path):
-        for command, flag, d in self.writers(tmp_path):
-            target = d / "no" / "w.csv"
-            code, out, err = run_cli([command, "--seed", "7", flag, str(target)])
+        for d, argv, _ in self.writers(tmp_path):
+            target = d / "no" / "out"
+            code, out, err = run_cli([*argv, str(target)])
             assert (code, out) == (2, "")
             assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
             assert list(d.iterdir()) == []
 
     def test_replaces_existing_file(self, tmp_path):
-        for command, flag, d in self.writers(tmp_path):
-            target = d / "w.csv"
+        for d, argv, _ in self.writers(tmp_path):
+            target = d / "out"
             target.write_text("old\n")
-            assert run_cli([command, "--seed", "7", flag, str(target)])[0] == 0
-            assert target.read_text() == run_cli(["generate", "--seed", "7"])[1]
-            assert [p.name for p in d.iterdir()] == ["w.csv"]
+            assert run_cli([*argv, str(target)])[0] == 0
+            assert target.read_text() == self.written(argv)
+            assert [p.name for p in d.iterdir()] == ["out"]
 
     def test_device_is_written_in_place(self, tmp_path):
-        for command, flag, _ in self.writers(tmp_path):
-            assert run_cli([command, "--seed", "7", flag, os.devnull])[0] == 0
+        for _, argv, _ in self.writers(tmp_path):
+            assert run_cli([*argv, os.devnull])[0] == 0
             assert not os.path.isfile(os.devnull)
 
     def test_failure_leaves_existing_file(self, tmp_path):
-        for command, flag, d in self.writers(tmp_path):
-            target = d / "w.csv"
+        for d, _, failing in self.writers(tmp_path):
+            target = d / "out"
             target.write_text("old\n")
-            assert_clean_failure([command, *FAILING_ARGV[0], flag, str(target)])
+            assert_clean_failure([*failing, str(target)])
             assert target.read_text() == "old\n"
-            assert [p.name for p in d.iterdir()] == ["w.csv"]
+            assert [p.name for p in d.iterdir()] == ["out"]
 
     def test_symlink_is_written_through(self, tmp_path):
-        for command, flag, d in self.writers(tmp_path):
-            (d / "real.csv").write_text("old\n")
-            (d / "link.csv").symlink_to("real.csv")
-            assert run_cli([command, "--seed", "7", flag, str(d / "link.csv")])[0] == 0
-            assert (d / "link.csv").is_symlink()
-            assert (d / "real.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+        for d, argv, _ in self.writers(tmp_path):
+            (d / "real").write_text("old\n")
+            (d / "link").symlink_to("real")
+            assert run_cli([*argv, str(d / "link")])[0] == 0
+            assert (d / "link").is_symlink()
+            assert (d / "real").read_text() == self.written(argv)
 
     def test_mode_and_links_kept(self, tmp_path):
-        for command, flag, d in self.writers(tmp_path):
-            target = d / "w.csv"
+        for d, argv, _ in self.writers(tmp_path):
+            target = d / "out"
             target.write_text("old\n")
             target.chmod(0o600)
-            os.link(target, d / "other.csv")
-            assert run_cli([command, "--seed", "7", flag, str(target)])[0] == 0
+            os.link(target, d / "other")
+            assert run_cli([*argv, str(target)])[0] == 0
             assert target.stat().st_mode & 0o777 == 0o600
-            assert (d / "other.csv").read_text() == run_cli(["generate", "--seed", "7"])[1]
+            assert (d / "other").read_text() == self.written(argv)
+
+    def test_minus_is_stdout(self, tmp_path):
+        for argv in each_command(stage_files(tmp_path)).values():
+            got = run_cli(argv)
+            assert got[0] == 0 and got[1]
+            assert run_cli([*argv, "-o", "-"]) == got
 
 
 class TestPeep:
@@ -1297,15 +1346,9 @@ class TestNumericValues:
 class TestNegativeValues:
     """A negative number in any notation ``float()`` takes is a flag's value."""
 
-    RECORDING = ["--seed", "6", "--duration-s", "10", "--hold", "4:1"]
-
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
-        d = tmp_path_factory.mktemp("negative")
-        run_cli(["generate", *self.RECORDING, "-o", str(d / "w.csv")])
-        run_cli(["score", str(d / "w.csv"), "-o", str(d / "t.csv")])
-        run_cli(["detect", str(d / "t.csv"), "--waveform", str(d / "w.csv"), "-o", str(d / "s.ndjson")])
-        return d
+        return stage_files(tmp_path_factory.mktemp("negative"))
 
     @pytest.mark.parametrize("token", ["-inf", "-1e306", "-1.5E+1", "-1e1", "-15.5"])
     @pytest.mark.parametrize("command, flag", [
@@ -1313,14 +1356,7 @@ class TestNegativeValues:
         ("report", "--peep"), ("pipeline", "--log-threshold-on"),
     ])
     def test_float_flag_of_each_command(self, files, command, flag, token):
-        w = str(files / "w.csv")
-        argv = {
-            "generate": ["generate", *self.RECORDING],
-            "score": ["score", w],
-            "detect": ["detect", str(files / "t.csv"), "--waveform", w],
-            "report": ["report", w, "--segments", str(files / "s.ndjson")],
-            "pipeline": ["pipeline", *self.RECORDING],
-        }[command]
+        argv = each_command(files)[command]
         got = run_cli([*argv, flag, token])
         assert got[0] != 2, got[2]
         assert got == run_cli([*argv, f"{flag}={token}"])
@@ -1393,16 +1429,18 @@ class TestNotUtf8:
         assert err.getvalue().count("\n") == 1
 
 
-def run_command(argv, stdin, encoding=None):
+def run_command(argv, stdin, encoding=None, close_stdout=False):
     """``python -m holdscan.cli argv`` with ``stdin`` (a file, or None for a
-    closed stdin) and ``PYTHONIOENCODING=encoding``: (exit code, stdout, stderr)."""
+    closed stdin), stdout closed if ``close_stdout`` and
+    ``PYTHONIOENCODING=encoding``: (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(holdscan.__file__).resolve().parents[1]))
     env.pop("PYTHONIOENCODING", None)
     if encoding is not None:
         env["PYTHONIOENCODING"] = encoding
     command = [sys.executable, "-m", "holdscan.cli", *argv]
-    if stdin is None:
-        command = ["sh", "-c", 'exec "$@" <&-', "sh", *command]
+    closing = ["<&-"] * (stdin is None) + [">&-"] * close_stdout
+    if closing:
+        command = ["sh", "-c", 'exec "$@" ' + " ".join(closing), "sh", *command]
     done = subprocess.run(command, stdin=stdin, capture_output=True, env=env)
     return done.returncode, done.stdout, done.stderr
 
@@ -1424,6 +1462,37 @@ class TestStdinBytes:
     @pytest.mark.parametrize("argv", [["score", "-"], ["report", "-", "--segments", "s.ndjson"]])
     def test_closed_stdin(self, argv):
         assert run_command(argv, None) == (2, b"", b"error: stdin is closed\n")
+
+
+class TestClosedStdout:
+    """With stdout closed, a command that writes there ends in one error line
+    before it writes anything; one that writes only to paths runs as before."""
+
+    CLOSED = (2, b"", b"error: stdout is closed\n")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return stage_files(tmp_path_factory.mktemp("closed"))
+
+    @pytest.mark.parametrize("command", ["generate", "score", "detect", "report", "pipeline"])
+    def test_one_error_line(self, files, command):
+        argv = each_command(files)[command]
+        assert run_command(argv, subprocess.DEVNULL, close_stdout=True) == self.CLOSED
+
+    @pytest.mark.parametrize("command, flag", [("pipeline", "--save-waveform"),
+                                               ("generate", "--ground-truth")])
+    def test_writes_no_file(self, tmp_path, command, flag):
+        target = tmp_path / "out"
+        argv = [*each_command(tmp_path)[command], flag, str(target)]
+        assert run_command(argv, subprocess.DEVNULL, close_stdout=True) == self.CLOSED
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_to_a_path(self, files, tmp_path):
+        argv = each_command(files)["score"]
+        target = tmp_path / "t.csv"
+        got = run_command([*argv, "-o", str(target)], subprocess.DEVNULL, close_stdout=True)
+        assert got == (0, b"", b"")
+        assert target.read_bytes() == run_command(argv, subprocess.DEVNULL)[1]
 
 
 class TestNoDataRows:
