@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The console-script checks: argparse's usage error and the help screens,
-# a closed stdout, pipeline against the four commands it stands for, and
-# pipeline's errors against those of the separate commands.  HOLDSCAN is
-# the command that runs holdscan, split into words (default: holdscan).
+# a closed stdout, a closed stderr, pipeline against the four commands it
+# stands for, and pipeline's errors against those of the separate
+# commands.  HOLDSCAN is the command that runs holdscan, split into words
+# (default: holdscan).
 # For example:
 #
 #   bash scripts/cli_checks.sh
@@ -57,6 +58,28 @@ test ! -e "$d/pw.csv"
 holdscan generate "${gen[@]}" -o "$d/closed.csv" >&-
 cmp "$d/closed.csv" "$d/w.csv"
 echo "ok: closed stdout"
+
+# with stderr closed, or open but not writable, a failing command keeps its
+# exit code and writes nothing to stdout in place of its error line
+d=$(tmp)
+echo x > "$d/readonly"
+no_stderr() {
+  local want=$1 status=0
+  shift
+  holdscan "$@" > "$d/out" 2>&- || status=$?
+  test "$status" -eq "$want"
+  test ! -s "$d/out"
+  status=0
+  holdscan "$@" > "$d/out" 2< "$d/readonly" || status=$?
+  test "$status" -eq "$want"
+  test ! -s "$d/out"
+}
+no_stderr 2 score "$d/missing.csv"
+no_stderr 2 bogus
+no_stderr 1 generate --seed 1 --duration-s 1
+no_stderr 1 pipeline --seed 1 --duration-s 60 --var-flow nan
+no_stderr 2 score - <&-
+echo "ok: closed stderr"
 
 # pipeline must write what the four commands write through files; the
 # second recording is 35000 samples at 250 Hz, which is no multiple of

@@ -8,19 +8,18 @@ once.
 ``pipeline`` runs the four stages with the data flow of the separate
 commands, so its output is byte-identical to piping them by hand.  Neither
 it nor ``generate`` holds the whole recording (:mod:`holdscan.stream`).  A
-command that succeeds hands its outputs to :func:`_commit`, the one writer
-of stdout and output paths; each is staged in an unnamed temporary file,
-but pipeline's report and the ground truth, short strings, are not.
-
-The CSV readers take canonical text (what the writers emit) through a
-vectorized fast path and fall back to a line-by-line parser for anything
-else, which also produces the per-line error messages.
+handler maps the namespace, ``read`` (a path to its text) and ``stage`` (a
+new unnamed temporary file) to its ``(path, text)`` outputs, all staged but
+pipeline's report and the ground truth, short strings.  :func:`run` alone
+touches a stream: it hands them to :func:`_commit`, the one writer of
+stdout and output paths.  The CSV readers are :mod:`holdscan.waveform`'s.
 
 The parser is built once per process, on the first :func:`run`.
 
 Exit codes: 0 success, 1 data/validation error, 2 usage or I/O error (a
 closed stdin or stdout included); each error is one ``error:`` line on the
-``stderr`` given to :func:`run`, argparse's own included.
+``stderr`` given to :func:`run`, argparse's own included, or none, with the
+same exit code, if stderr is closed or cannot be written.
 """
 
 from __future__ import annotations
@@ -241,28 +240,26 @@ def _read_input(path: str, stdin) -> str:
 # subcommand handlers
 
 
-def _cmd_generate(ns, stdin, stdout, stderr) -> int:
+def _cmd_generate(ns, read, stage) -> list:
     cfg = _mock_config_from(ns)
-    with _staged() as staged:
-        _generate_pass(cfg, staged)
-        _commit([*_ground_truth_output(ns, cfg), (ns.output, staged)], stdout)
-    return 0
+    staged = stage()
+    _generate_pass(cfg, staged)
+    return [*_ground_truth_output(ns, cfg), (ns.output, staged)]
 
 
-def _cmd_score(ns, stdin, stdout, stderr) -> int:
-    w = load_waveform_csv(_read_input(ns.waveform, stdin), ns.expected_rate_hz)
+def _cmd_score(ns, read, stage) -> list:
+    w = load_waveform_csv(read(ns.waveform), ns.expected_rate_hz)
     trace = score_series(w, _from_ns(ModelParams, ns))
-    with _staged() as staged:
-        write_score_trace_csv(w.t, trace, staged, linear=ns.linear)
-        _commit([(ns.output, staged)], stdout)
-    return 0
+    staged = stage()
+    write_score_trace_csv(w.t, trace, staged, linear=ns.linear)
+    return [(ns.output, staged)]
 
 
-def _cmd_detect(ns, stdin, stdout, stderr) -> int:
+def _cmd_detect(ns, read, stage) -> list:
     if ns.waveform == "-":
         raise _UsageError("--waveform must be a file path, not '-'")
-    trace_text = _read_input(ns.trace, stdin)
-    wave_text = _read_input(ns.waveform, stdin)
+    trace_text = read(ns.trace)
+    wave_text = read(ns.waveform)
     _, trace = load_score_trace_csv(trace_text, ns.expected_rate_hz)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
     config = _from_ns(DetectionConfig, ns)
@@ -276,38 +273,33 @@ def _cmd_detect(ns, stdin, stdout, stderr) -> int:
             f"{w.sample_rate_hz} Hz"
         )
     records = [segment_record(summarize_segment(w, seg)) for seg in detect_holds(trace, config)]
-    with _staged() as staged:
-        write_segments_ndjson(records, staged)
-        _commit([(ns.output, staged)], stdout)
-    return 0
+    staged = stage()
+    write_segments_ndjson(records, staged)
+    return [(ns.output, staged)]
 
 
-def _cmd_report(ns, stdin, stdout, stderr) -> int:
+def _cmd_report(ns, read, stage) -> list:
     if ns.waveform == "-" and ns.segments == "-":
         raise _UsageError("at most one of waveform and --segments may read stdin")
     peep = _check_peep(ns.peep)
-    wave_text = _read_input(ns.waveform, stdin)
-    seg_text = _read_input(ns.segments, stdin)
+    wave_text = read(ns.waveform)
+    seg_text = read(ns.segments)
     w = load_waveform_csv(wave_text, ns.expected_rate_hz)
-    with _staged() as staged:
-        for rec in read_segments_ndjson(seg_text):
-            staged.write(json.dumps(report_hold(w, rec, peep)) + "\n")
-        _commit([(ns.output, staged)], stdout)
-    return 0
+    staged = stage()
+    for rec in read_segments_ndjson(seg_text):
+        staged.write(json.dumps(report_hold(w, rec, peep)) + "\n")
+    return [(ns.output, staged)]
 
 
-def _cmd_pipeline(ns, stdin, stdout, stderr) -> int:
+def _cmd_pipeline(ns, read, stage) -> list:
     cfg = _mock_config_from(ns)
     params, config = _from_ns(ModelParams, ns), _from_ns(DetectionConfig, ns)
     peep = _check_peep(ns.peep)
-    with contextlib.ExitStack() as stack:
-        saves = {name: stack.enter_context(_staged())
-                 for name in ("save_waveform", "save_trace", "save_segments")
-                 if getattr(ns, name) is not None}
-        report = _stage_blocks(cfg, params, config, peep, **saves)
-        saved = [(getattr(ns, name), staged) for name, staged in saves.items()]
-        _commit([*_ground_truth_output(ns, cfg), *saved, (ns.output, report)], stdout)
-    return 0
+    saves = {name: stage() for name in ("save_waveform", "save_trace", "save_segments")
+             if getattr(ns, name) is not None}
+    report = _stage_blocks(cfg, params, config, peep, **saves)
+    saved = [(getattr(ns, name), staged) for name, staged in saves.items()]
+    return [*_ground_truth_output(ns, cfg), *saved, (ns.output, report)]
 
 
 @functools.cache
@@ -383,7 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, run the command and write its outputs, or its error
+    line unless stderr is closed or cannot be written; returns the process
+    exit code."""
     # bytes, so that stdin is decoded as UTF-8 whatever the locale
     stdin = getattr(sys.stdin, "buffer", sys.stdin) if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
@@ -393,13 +387,16 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
             ns = _build_parser().parse_args(argv)
         except SystemExit as exc:  # --help, printed to sys.stdout
             return 2 if exc.code else 0
-        return ns.handler(ns, stdin, stdout, stderr)
-    except HoldscanError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except (_UsageError, OSError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
+        with contextlib.ExitStack() as stack:
+            outputs = ns.handler(ns, functools.partial(_read_input, stdin=stdin),
+                                 lambda: stack.enter_context(_staged()))
+            _commit(outputs, stdout)
+        return 0
+    except (HoldscanError, _UsageError, OSError) as exc:
+        if stderr is not None:  # None: the process was started with stderr closed
+            with contextlib.suppress(OSError):
+                stderr.write(f"error: {exc}\n")
+        return 1 if isinstance(exc, HoldscanError) else 2
 
 
 def main() -> None:

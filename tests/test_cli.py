@@ -1234,6 +1234,29 @@ class TestSaveFiles:
             assert run_cli([*argv, "-o", "-"]) == got
 
 
+class TestGivenStreams:
+    """``run`` writes only to the streams it is given, whether the command
+    succeeds or fails (``--help`` aside, which prints to ``sys.stdout``)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = stage_files(tmp_path_factory.mktemp("streams"))
+        (d / "bad.csv").write_text("t,flow,pressure\n0,x,15\n")
+        return d
+
+    @pytest.mark.parametrize("command", ["generate", "score", "detect", "report", "pipeline"])
+    def test_success(self, inputs, command, capsys):
+        code, out, err = run_cli(each_command(inputs)[command])
+        assert (code, err) == (0, "") and out
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("command", ["generate", "score", "detect", "report", "pipeline"])
+    def test_failure(self, inputs, command, capsys):
+        code, out, err = run_cli(each_command(inputs, FAILING_ARGV[0], inputs / "bad.csv")[command])
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        assert capsys.readouterr() == ("", "")
+
+
 class TestPeep:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     @pytest.mark.parametrize("hold", ["0:2", "10:0.1"])  # the second gives no segment
@@ -1429,16 +1452,17 @@ class TestNotUtf8:
         assert err.getvalue().count("\n") == 1
 
 
-def run_command(argv, stdin, encoding=None, close_stdout=False):
+def run_command(argv, stdin, encoding=None, close_stdout=False, close_stderr=False):
     """``python -m holdscan.cli argv`` with ``stdin`` (a file, or None for a
-    closed stdin), stdout closed if ``close_stdout`` and
-    ``PYTHONIOENCODING=encoding``: (exit code, stdout, stderr)."""
+    closed stdin), stdout closed if ``close_stdout``, stderr closed if
+    ``close_stderr`` and ``PYTHONIOENCODING=encoding``: (exit code, stdout,
+    stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(holdscan.__file__).resolve().parents[1]))
     env.pop("PYTHONIOENCODING", None)
     if encoding is not None:
         env["PYTHONIOENCODING"] = encoding
     command = [sys.executable, "-m", "holdscan.cli", *argv]
-    closing = ["<&-"] * (stdin is None) + [">&-"] * close_stdout
+    closing = ["<&-"] * (stdin is None) + [">&-"] * close_stdout + ["2>&-"] * close_stderr
     if closing:
         command = ["sh", "-c", 'exec "$@" ' + " ".join(closing), "sh", *command]
     done = subprocess.run(command, stdin=stdin, capture_output=True, env=env)
@@ -1493,6 +1517,46 @@ class TestClosedStdout:
         got = run_command([*argv, "-o", str(target)], subprocess.DEVNULL, close_stdout=True)
         assert got == (0, b"", b"")
         assert target.read_bytes() == run_command(argv, subprocess.DEVNULL)[1]
+
+
+class TestClosedStderr:
+    """With stderr closed, a failing command keeps its exit code and its
+    error line is dropped, never written to stdout in its place."""
+
+    # the exit code, argv and stdin of each case
+    FAILING = {
+        "missing file": (2, ["score", str(Path(__file__).with_name("missing.csv"))],
+                         subprocess.DEVNULL),
+        "unknown command": (2, ["bogus"], subprocess.DEVNULL),
+        "hold outside": (1, ["generate", "--seed", "1", "--duration-s", "1"], subprocess.DEVNULL),
+        "nan variance": (1, ["pipeline", "--seed", "1", "--duration-s", "60", "--var-flow", "nan"],
+                         subprocess.DEVNULL),
+        "closed stdin": (2, ["score", "-"], None),
+    }
+
+    @pytest.mark.parametrize("case", FAILING)
+    def test_exit_code_and_no_stdout(self, case):
+        code, argv, stdin = self.FAILING[case]
+        opened, out, err = run_command(argv, stdin)
+        assert (opened, out) == (code, b"") and err.startswith(b"error: ")
+        assert run_command(argv, stdin, close_stderr=True) == (code, b"", b"")
+
+    def test_success_writes_the_same_bytes(self):
+        argv = ["generate", *RECORDING]
+        got = run_command(argv, subprocess.DEVNULL, close_stderr=True)
+        assert got == run_command(argv, subprocess.DEVNULL)
+        assert got[0] == 0 and got[1]
+
+    @pytest.mark.parametrize("case", [c for c, (*_, stdin) in FAILING.items() if stdin is not None])
+    def test_unwritable_stderr_in_process(self, case):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        code, argv, _ = self.FAILING[case]
+        out = io.StringIO()
+        assert run(argv, stdin=io.StringIO(""), stdout=out, stderr=Unwritable()) == code
+        assert out.getvalue() == ""
 
 
 class TestNoDataRows:
