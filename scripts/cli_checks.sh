@@ -33,9 +33,9 @@ for sub in generate score detect report pipeline; do
 done
 echo "ok: usage error and help"
 
-# with stdout closed, each command that writes there ends in exit 2 and one
-# error: line, and writes no file; generate with -o writes the same bytes
-# as with stdout open
+# with stdout closed, each command that writes there, and --help, ends in
+# exit 2 and one error: line, and writes no file; generate with -o writes
+# the same bytes as with stdout open
 d=$(tmp)
 gen=(--seed 7 --duration-s 30 --hold 10:2)
 holdscan generate "${gen[@]}" -o "$d/w.csv"
@@ -53,6 +53,8 @@ closed score "$d/w.csv"
 closed detect "$d/t.csv" --waveform "$d/w.csv"
 closed report "$d/w.csv" --segments "$d/s.ndjson"
 closed pipeline "${gen[@]}" --save-waveform "$d/pw.csv"
+closed --help
+closed score --help
 test ! -e "$d/g.ndjson"
 test ! -e "$d/pw.csv"
 holdscan generate "${gen[@]}" -o "$d/closed.csv" >&-

@@ -12,7 +12,8 @@ handler maps the namespace, ``read`` (a path to its text) and ``stage`` (a
 new unnamed temporary file) to its ``(path, text)`` outputs, all staged but
 pipeline's report and the ground truth, short strings.  :func:`run` alone
 touches a stream: it hands them to :func:`_commit`, the one writer of
-stdout and output paths.  The CSV readers are :mod:`holdscan.waveform`'s.
+stdout and output paths, and ``--help``'s screen too.  The CSV readers are
+:mod:`holdscan.waveform`'s.
 
 The parser is built once per process, on the first :func:`run`.
 
@@ -61,11 +62,19 @@ class _UsageError(Exception):
     """Command-line misuse, argparse's own included."""
 
 
+class _Help(Exception):
+    """``--help``: its text, the output :func:`run` writes for it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors :func:`run` reports as one line."""
+    """An argument parser whose errors :func:`run` reports as one line, and
+    whose help screen it writes to its stdout as a command's output."""
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def _parse_optional(self, arg_string):
         try:  # any number is a value; argparse's own rule misses -1e3 and -inf
@@ -383,13 +392,14 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
-        try:
-            ns = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help, printed to sys.stdout
-            return 2 if exc.code else 0
         with contextlib.ExitStack() as stack:
-            outputs = ns.handler(ns, functools.partial(_read_input, stdin=stdin),
-                                 lambda: stack.enter_context(_staged()))
+            try:
+                ns = _build_parser().parse_args(argv)
+            except _Help as exc:
+                outputs = [(None, exc.args[0])]
+            else:
+                outputs = ns.handler(ns, functools.partial(_read_input, stdin=stdin),
+                                     lambda: stack.enter_context(_staged()))
             _commit(outputs, stdout)
         return 0
     except (HoldscanError, _UsageError, OSError) as exc:

@@ -92,9 +92,8 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         code, out, err = run_cli(["--help"])
-        assert (code, out, err) == (0, "", "")
-        printed = capsys.readouterr()
-        assert printed.out.startswith("usage: holdscan") and printed.err == ""
+        assert (code, err) == (0, "") and out.startswith("usage: holdscan")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestParserCache:
@@ -124,11 +123,12 @@ class TestParserCache:
         texts = []
         for columns in ("60", "60", "120"):
             monkeypatch.setenv("COLUMNS", columns)
-            assert run_cli(["pipeline", "--help"]) == (0, "", "")
-            texts.append(capsys.readouterr().out)
+            code, out, err = run_cli(["pipeline", "--help"])
+            assert (code, err) == (0, "") and out
+            texts.append(out)
         with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
-            run_cli(["pipeline", "--help"])
-        assert texts[0] == texts[1] != texts[2] == capsys.readouterr().out
+            assert texts[0] == texts[1] != texts[2] == run_cli(["pipeline", "--help"])[1]
+        assert capsys.readouterr() == ("", "")
 
 
 # Each subcommand's actions: option strings, dest, default, type, metavar and
@@ -1236,7 +1236,7 @@ class TestSaveFiles:
 
 class TestGivenStreams:
     """``run`` writes only to the streams it is given, whether the command
-    succeeds or fails (``--help`` aside, which prints to ``sys.stdout``)."""
+    succeeds or fails, and ``--help`` too."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -1254,6 +1254,13 @@ class TestGivenStreams:
     def test_failure(self, inputs, command, capsys):
         code, out, err = run_cli(each_command(inputs, FAILING_ARGV[0], inputs / "bad.csv")[command])
         assert (code, out) == (1, "") and err.startswith("error: ")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["score", "--help"], ["pipeline", "-h"]])
+    def test_help(self, argv, capsys):
+        code, out, err = run_cli(argv)
+        prog = " ".join(["holdscan", *argv[:-1]])
+        assert (code, err) == (0, "") and out.startswith(f"usage: {prog} ")
         assert capsys.readouterr() == ("", "")
 
 
@@ -1510,6 +1517,12 @@ class TestClosedStdout:
         argv = [*each_command(tmp_path)[command], flag, str(target)]
         assert run_command(argv, subprocess.DEVNULL, close_stdout=True) == self.CLOSED
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["score", "--help"]])
+    def test_help(self, argv):
+        code, out, err = run_command(argv, subprocess.DEVNULL)
+        assert (code, err) == (0, b"") and out.startswith(b"usage: holdscan")
+        assert run_command(argv, subprocess.DEVNULL, close_stdout=True) == self.CLOSED
 
     def test_output_to_a_path(self, files, tmp_path):
         argv = each_command(files)["score"]

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+import holdscan
 from holdscan import (
     DetectionConfig,
     InvalidConfig,
@@ -20,9 +26,13 @@ from holdscan import (
 )
 from holdscan.mockgen import (
     _BLOCK,
+    _COS_TURNS,
+    _SIN_TURNS,
+    _TURN_STEPS,
     DECAY_RATE,
     MAX_SAMPLES,
     _blocks,
+    _cos_turns,
     _hold_mask,
     _splitmix64,
     _standard_normals,
@@ -44,14 +54,16 @@ def ref_splitmix64(seed, counter):
 
 
 def ref_normals(seed, first_counter, count):
-    """Scalar-math Box-Muller from the documented counter layout."""
+    """Scalar-math Box-Muller from the documented counter layout, with the
+    exact cos(2 pi u2) rounded once."""
+    mp = pytest.importorskip("mpmath")
     out = np.empty(count)
     for i in range(count):
         w0 = ref_splitmix64(seed, first_counter + 2 * i)
         w1 = ref_splitmix64(seed, first_counter + 2 * i + 1)
         u1 = ((w0 >> 11) + 1) * 2.0**-53
         u2 = (w1 >> 11) * 2.0**-53
-        out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        out[i] = math.sqrt(-2.0 * math.log(u1)) * float(mp.cospi(2 * mp.mpf(u2)))
     return out
 
 
@@ -176,7 +188,8 @@ class TestStandardNormals:
     def test_matches_scalar_reference(self):
         got = _standard_normals(13, 0, 500)
         want = ref_normals(13, 0, 500)
-        # numpy's vectorized log/cos may differ from libm scalars by an ulp
+        # numpy's log is dispatched per CPU and may differ from libm's by an
+        # ulp, and the cosine is within 1.5 ulp of the exact one
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_offset_counter_stream(self):
@@ -192,6 +205,97 @@ class TestStandardNormals:
         z = _standard_normals(0, 0, 100_000)
         assert abs(float(np.mean(z))) < 0.02
         assert abs(float(np.std(z)) - 1.0) < 0.02
+
+
+def ulps_from_cos(got, u):
+    """``|got - cos(2 pi u)|`` in units in the last place of the exact value."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(120):
+        exact = mp.cospi(2 * mp.mpf(u))
+        if exact == 0:
+            return 0.0 if got == 0 else math.inf
+        _, e = mp.frexp(exact)  # 2**(e-1) <= |exact| < 2**e: the ulp is 2**(e-53)
+        return float(abs(mp.mpf(got) - exact) * mp.mpf(2) ** (53 - e))
+
+
+def turns(words):
+    """u on the 2**-53 grid from integers below 2**53."""
+    return np.asarray(words, dtype=np.int64) * 2.0**-53
+
+
+# The kernel over SplitMix64-drawn u, with every dispatched numpy kernel off.
+KERNEL_DIGEST = """
+import hashlib
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from holdscan.mockgen import _cos_turns, _splitmix64
+u = (_splitmix64(23, 0, 10**6) >> np.uint64(11)) * 2.0**-53
+print(" ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)))
+print(hashlib.sha256(_cos_turns(u, np.empty(len(u), np.int64)).tobytes()).hexdigest())
+"""
+
+
+class TestCosTurns:
+    """Box-Muller's cosine of turns against mpmath's ``cos(2 pi u)``."""
+
+    STEP = 2**53 // _TURN_STEPS  # one step of the table, in words
+
+    def test_table_rounds_correctly(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workprec(120):
+            for m in range(_TURN_STEPS + 1):
+                turn = mp.mpf(2 * m) / _TURN_STEPS
+                assert _COS_TURNS[m] == float(mp.cospi(turn))
+                assert _SIN_TURNS[m] == float(mp.sinpi(turn))
+
+    def test_table_points_round_correctly(self):
+        u = turns(np.arange(_TURN_STEPS) * self.STEP)
+        got = _cos_turns(u.copy(), np.empty(len(u), np.int64))
+        assert max(ulps_from_cos(g, x) for g, x in zip(got.tolist(), u.tolist())) <= 0.5
+
+    def test_quarter_turns_exact(self):
+        got = _cos_turns(np.array([0.0, 0.25, 0.5, 0.75]), np.empty(4, np.int64))
+        assert got.tolist() == [1.0, 0.0, -1.0, 0.0]
+
+    def test_within_one_and_a_half_ulps(self):
+        # the ends of [0, 1), drawn words, and words within two steps of a zero
+        # of the cosine, where the result is far below the table's value
+        drawn = _splitmix64(19, 0, 10_000) >> np.uint64(11)
+        near = np.random.default_rng(19).integers(-2 * self.STEP, 2 * self.STEP, 4_000)
+        near[::2] += _TURN_STEPS // 4 * self.STEP
+        near[1::2] += 3 * _TURN_STEPS // 4 * self.STEP
+        u = np.concatenate((turns([1, 2**53 - 1]), turns(drawn), turns(near)))
+        got = _cos_turns(u.copy(), np.empty(len(u), np.int64))
+        errors = np.array([ulps_from_cos(g, x) for g, x in zip(got.tolist(), u.tolist())])
+        assert got[:2].tolist() == [1.0, 1.0]  # the float nearest to each
+        assert errors.max() <= 1.5
+        assert np.mean(errors <= 1.0) > 0.99
+
+    def test_slices_of_a_block(self):
+        u = turns(_splitmix64(3, 0, 2 * _BLOCK + 5) >> np.uint64(11))
+        whole = _cos_turns(u.copy(), np.empty(len(u), np.int64))
+        for a in range(0, len(u), _BLOCK):
+            part = u[a:a + _BLOCK].copy()
+            assert _cos_turns(part, np.empty(len(part), np.int64)).tobytes() == \
+                whole[a:a + _BLOCK].tobytes()
+
+    def test_same_bits_without_dispatched_kernels(self):
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__
+        env = dict(os.environ, PYTHONPATH=str(Path(holdscan.__file__).resolve().parents[1]),
+                   NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+        done = subprocess.run([sys.executable, "-c", KERNEL_DIGEST], env=env,
+                              capture_output=True, text=True, check=True)
+        enabled, digest = done.stdout.split("\n")[:2]
+        u = turns(_splitmix64(23, 0, 10**6) >> np.uint64(11))
+        here = _cos_turns(u, np.empty(len(u), np.int64))
+        assert enabled == ""
+        assert digest == hashlib.sha256(here.tobytes()).hexdigest()
 
 
 class TestDeterminism:
