@@ -138,13 +138,15 @@ echo "ok: pipeline against the four commands"
 
 # a recording that fails ends pipeline in the error of the first of the
 # separate commands that fails: generate, else score on its output; the
-# four fail on a single row, a flow beyond the float range, a 7.3 Hz
-# grid that 9 digits do not keep uniform and log-scores that are nan.
+# five fail on a single row, a flow beyond the float range, a 7.3 Hz
+# grid that 9 digits do not keep uniform, log-scores that are nan and a
+# 256 Hz grid that fails from t = 100 s, after earlier blocks were reported.
 # Each entry is the flags of generate and of score, separated by "|".
 for run in "--seed 9 --duration-s 0.01 --hold 0:0.01|" \
     "--seed 7 --duration-s 0.01 --hold 0:0.01 --noise-sd-flow 1.7e308|" \
     "--seed 4 --duration-s 300 --sample-rate-hz 7.3 --hold 100:3|" \
-    "--seed 1 --duration-s 30 --hold 10:2|--mu-flow=-1.7e308 --var-flow 1e308"; do
+    "--seed 1 --duration-s 30 --hold 10:2|--mu-flow=-1.7e308 --var-flow 1e308" \
+    "--seed 1 --duration-s 300 --sample-rate-hz 256 --hold 50:2|"; do
   IFS="|" read -r gen model <<< "$run"
   d=$(tmp)
   code=0

@@ -9,17 +9,17 @@ back, is checked as ``score`` checks a whole recording (by
 ``waveform._BlockCheck``, which holds the rule for the rate and the order of
 the faults), scored, written to the ``--save-*`` streams and fed to a
 resumable hold scan (``detection._HoldScan``).  Each segment is reported on
-its own window of samples (:class:`_HoldReports`).  When a check fails,
-:func:`_raise_first_error` finds the error the separate commands give.
+its own window of samples (:class:`_HoldReports`).  After a check fails, the
+pass only checks the rest, so that it raises the error the separate commands give.
 
 Per block, only t is read back, for the grid check.  The log-scores are those
 ``score`` writes (of the read-back flow and pressure, read back) within ``B``
 (``scoring._read_back_band``) of a threshold (:class:`_HoldReports`), and
-everywhere where no ``B`` is proven, with ``--save-trace`` and in
-:func:`_raise_first_error`.  A value and its read-back are alike finite,
-infinite or nan and have one text, so the checks and the saved text are the
-same; wherever a decision could change, the hold scan compares the values
-``detect`` reads with its thresholds.
+everywhere where no ``B`` is proven, with ``--save-trace`` and after a check
+fails.  A value and its read-back are alike finite, infinite or nan and have
+one text, so the checks and the saved text are the same; wherever a decision
+could change, the hold scan compares the values ``detect`` reads with its
+thresholds.
 
 What stays resident is one block of ``mockgen._BLOCK`` samples and its
 temporaries; in ``pipeline`` also a ring of the last ``VOLUME_LOOKBACK_S``
@@ -53,6 +53,7 @@ from .waveform import (
     _CHANNELS,
     Waveform,
     _BlockCheck,
+    _check_rate,
     _read_back,
     _span_rate,
     _write_rows,
@@ -152,64 +153,60 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     """``pipeline``'s one pass over the recording, block by block; returns the report text.
 
     Each block is generated, its t read back (the values a reader gives for
-    the 9-digit text), checked as ``score`` checks the whole recording (at
-    the rate it infers from the first and last timestamps, the previous
-    block's last timestamp carried into the grid check), scored (exactly
-    with ``save_trace``), written to the ``save_*`` streams and fed to
+    the 9-digit text) and fed to one check of the whole recording.  Until the
+    first fault it is also checked as ``score`` checks the recording (at the
+    rate it infers from the first and last timestamps), scored (exactly with
+    ``save_trace``), written to the ``save_*`` streams and fed to
     :class:`_HoldReports`, so only one block, the samples segments still need
-    and the records are held.  A failed check raises the separate commands' error.
+    and the records are held; after it, only its exact log-scores are checked.
+    Once every block is in, a fault raises the separate commands' error:
+    ``generate``'s, else ``score``'s (the grid, then the log-scores), else the fault.
     """
     n = _sample_count(cfg)
+    _check_rate(cfg.sample_rate_hz)  # generate's first check
+    checks = _BlockCheck()
+    fault = scores_error = None
     try:
         # the hold scan needs the rate before the first block
         rate = _pipeline_rate(cfg, n)
-        checks = _BlockCheck()
         reports = _HoldReports(config, params, rate, peep, save_segments, save_trace is not None)
-        for start, t, *values in _blocks(cfg, n):
-            t = _read_back(t)
-            checks.feed(t, *values)
-            checks.raise_first(rate)
-            scores = reports.log_scores(*values[:2])
-            _check_log_scores(scores)
-            if save_waveform is not None:
-                _write_rows(save_waveform, _CHANNELS if start == 0 else None, (t, *values))
-            if save_trace is not None:
-                _write_rows(save_trace, _TRACE_HEADER if start == 0 else None, (t, scores))
-            reports.feed((t, *values), scores)
+    except HoldscanError as exc:
+        fault = exc
+    for start, t, *values in _blocks(cfg, n):
+        t = _read_back(t)
+        checks.feed(t, *values)
+        if fault is None:
+            try:
+                checks.raise_first(rate)
+                scores = reports.log_scores(*values[:2])
+                _check_log_scores(scores)
+                if save_waveform is not None:
+                    _write_rows(save_waveform, _CHANNELS if start == 0 else None, (t, *values))
+                if save_trace is not None:
+                    _write_rows(save_trace, _TRACE_HEADER if start == 0 else None, (t, scores))
+                reports.feed((t, *values), scores)
+            except HoldscanError as exc:
+                fault = exc
+        if fault is not None and scores_error is None:
+            try:
+                _check_log_scores(_exact_log_scores(*values[:2], params))
+            except HoldscanError as exc:
+                scores_error = exc
+    if fault is None:
         return reports.finish()
-    except HoldscanError:
-        _raise_first_error(cfg, params, n)
-        raise
+    # generate's grid passes at its rate for any n <= MAX_SAMPLES: its error is a non-finite value
+    if checks.bad:
+        checks.raise_first(cfg.sample_rate_hz)
+    checks.raise_first()
+    raise scores_error or fault
 
 
-def _generate_pass(cfg: MockConfig, out=None) -> None:
-    """``generate``'s pass: each block's CSV rows written to ``out``, if given, and
-    checked at the configured rate, so that, once every block is in, it raises
-    what ``generate_mock_waveform`` raises for the whole recording."""
+def _generate_pass(cfg: MockConfig, out) -> None:
+    """``generate``'s pass: each block's CSV rows written to ``out`` and checked
+    at the configured rate, so that, once every block is in, it raises what
+    ``generate_mock_waveform`` raises for the whole recording."""
     check = _BlockCheck()
     for start, t, *values in _blocks(cfg, _sample_count(cfg)):
         check.feed(t, *values)
-        if out is not None:
-            _write_rows(out, _CHANNELS if start == 0 else None, (t, *values))
+        _write_rows(out, _CHANNELS if start == 0 else None, (t, *values))
     check.raise_first(cfg.sample_rate_hz)
-
-
-def _raise_first_error(cfg: MockConfig, params: ModelParams, n: int) -> None:
-    """Raise what ``generate`` (:func:`_generate_pass`), then ``score``, raise, if anything.
-
-    ``score``'s checks take one more pass: the values read back, at the rate it
-    infers, then their log-scores.  A recording that passes them fails only in
-    detection, where the blocks meet the segments in the order ``detect`` does.
-    """
-    _generate_pass(cfg)
-    read = _BlockCheck()
-    scores_error = None
-    for _, t, *values in _blocks(cfg, n):
-        read.feed(_read_back(t), *values)
-        try:
-            _check_log_scores(_exact_log_scores(*values[:2], params))
-        except HoldscanError as exc:
-            scores_error = scores_error or exc
-    read.raise_first()
-    if scores_error is not None:
-        raise scores_error

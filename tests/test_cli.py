@@ -845,6 +845,16 @@ class TestReadBackPass:
         # twice its variance overflow, and inf / inf makes the log-scores nan
         (MockConfig(duration_s=30.0, holds=((10.0, 2.0),), rng_seed=1),
          ModelParams(mu_flow=-1.7e308, var_flow=1e308)),
+        # five blocks whose 256 Hz grid 9 digits keep uniform until t = 100 s,
+        # in the second block, after the hold at 50 s is reported
+        (MockConfig(duration_s=300.0, sample_rate_hz=256.0, holds=((50.0, 2.0),), rng_seed=1),
+         ModelParams()),
+        # log-scores that are nan over two blocks
+        (MockConfig(duration_s=200.0, holds=((50.0, 2.0),), rng_seed=1),
+         ModelParams(mu_flow=-1.7e308, var_flow=1e308)),
+        # one sample at a rate whose spacing 1 / rate overflows: generate's own check
+        (MockConfig(duration_s=1.5e308, sample_rate_hz=5e-309, holds=((0.0, 1.0),), rng_seed=1),
+         ModelParams()),
     ]
 
     @pytest.mark.parametrize("cfg, params", FAILING, ids=[f"cfg{i}" for i in range(len(FAILING))])
@@ -855,6 +865,13 @@ class TestReadBackPass:
             want = _outcome(read_back_stages, cfg, params)
         assert isinstance(want, tuple) and issubclass(want[0], HoldscanError)
         assert got == want
+
+    @pytest.mark.parametrize("cfg, params", FAILING, ids=[f"cfg{i}" for i in range(len(FAILING))])
+    def test_one_pass(self, cfg, params):
+        with mock.patch("holdscan.stream._blocks", wraps=_blocks) as blocks, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _outcome(block_pass, cfg, params)
+        assert blocks.call_count <= 1
 
     def test_cli_error_line(self):
         argv = ["--seed", "7", "--duration-s", "0.01", "--hold", "0:0.01", "--noise-sd-flow", "1.7e308"]

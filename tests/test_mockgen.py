@@ -37,6 +37,7 @@ from holdscan.mockgen import (
     _splitmix64,
     _standard_normals,
 )
+from holdscan.waveform import _BlockCheck
 
 MASK64 = (1 << 64) - 1
 
@@ -164,6 +165,23 @@ class TestBlocks:
             assert getattr(w, name).tobytes() == getattr(ref, name).tobytes()
         assert w.sample_rate_hz == ref.sample_rate_hz
         assert truth.hold_segments == tuple(sorted((s, s + d) for s, d in cfg.holds))
+
+
+class TestGridAtConfiguredRate:
+    """The generated grid passes the grid check at the configured rate for any
+    n <= MAX_SAMPLES: every step is within 2**-20 of 1 / rate, inside SPACING_RTOL,
+    so generate's only error is a non-finite value (which pipeline relies on)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(rate=st.floats(-4.0, 8.0).map(lambda e: 10.0**e),
+           n=st.integers(1, MAX_SAMPLES)
+           | st.sampled_from([2**k + d for k in range(11, 33) for d in (-1, 0, 1) if 2**k + d <= MAX_SAMPLES]))
+    def test_last_steps_pass(self, rate, n):
+        # the steps deviate most where the timestamps are largest
+        t = np.arange(max(n - 2048, 0), n, dtype=np.float64) / rate
+        check = _BlockCheck()
+        check.feed(t)
+        assert check.raise_first(rate) == rate
 
 
 class TestSplitMix64:

@@ -379,6 +379,17 @@ class TestTraceCsv:
         _, trace2 = load_score_trace_csv(buf.getvalue())
         assert trace2.log_scores[0] == -np.inf
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "+inf", "Infinity"])
+    def test_log_score_must_be_finite_or_minus_inf(self, field):
+        with pytest.raises(MalformedRow) as info:
+            load_score_trace_csv(f"t,log_score\n0,{field}\n0.01,-1\n")
+        assert str(info.value) == f"line 2: log_score must be finite or -inf in '0,{field}'"
+
+    @pytest.mark.parametrize("field", ["-inf", "-Infinity"])
+    def test_minus_inf_row_accepted(self, field):
+        _, trace = load_score_trace_csv(f"t,log_score\n0,{field}\n0.01,-1\n")
+        assert trace.log_scores.tolist() == [-math.inf, -1.0]
+
     def test_lengths_must_match(self):
         import io
 
