@@ -5,7 +5,9 @@ pressure ramps linearly from PEEP to peak pressure while flow decays
 exponentially from its peak toward zero; during expiration pressure relaxes
 exponentially back to PEEP and flow is negative, decaying to zero.  The
 expiratory flow amplitude is scaled by the I:E ratio so inspired and expired
-volumes balance per breath.  A configured hold overrides the template (flow
+volumes balance per breath.  The breath clock is the phase ``fmod(t,
+period)``, exact, and computed from basic operations where they give it
+(``_breath_phase``).  A configured hold overrides the template (flow
 zero, pressure at plateau) without pausing the breath clock, and white
 Gaussian noise is added everywhere on both channels.
 
@@ -141,6 +143,8 @@ _SIN_3 = -41.34170224039976 / _TURN_STEPS**3
 _SIN_5 = 81.60524927607506 / _TURN_STEPS**5
 # Added to 0 <= x <= N, it leaves round-half-even(x) in the low bits.
 _ROUND = 1.5 * 2.0**52
+# Veltkamp's constant 2**27 + 1: it splits a double into two parts of at most 26 bits.
+_SPLIT = 134217729.0
 
 # The most samples a recording may have: 2**32 is about 199 days at 250 Hz.
 # ``generate`` and ``pipeline`` stream a recording of any length in bounded
@@ -287,6 +291,43 @@ def _cos_turns(u: np.ndarray, index: np.ndarray) -> np.ndarray:
     return u
 
 
+def _breath_phase(t: np.ndarray, period: float) -> np.ndarray:
+    """``np.fmod(t, period)`` bit for bit, for sorted ``t >= +0``, mostly from basic operations.
+
+    With ``q = floor(t / period)`` and ``period = hi + lo`` split by Veltkamp,
+    ``q hi``, ``q lo`` and ``t - q hi`` are exact while ``q < 2**26``, so ``r =
+    (t - q hi) - q lo`` is ``t - q period`` rounded once: the exact ``fmod``
+    where ``q`` is the true quotient, and outside ``[0, period)`` where it is
+    one off.  Such samples take ``np.fmod``, as does a slice whose last ``q``
+    reaches ``2**26`` and every slice where the split is not finite (a period
+    above about 1.3e300).  The work runs over slices of at most ``_BLOCK``
+    samples, so its temporaries stay block-sized.
+    """
+    p = _SPLIT * period
+    hi = p - (p - period)
+    lo = period - hi
+    phase = np.empty_like(t)
+    scratch = np.empty(min(len(t), _BLOCK))
+    for start in range(0, len(t), _BLOCK):
+        x = t[start:start + _BLOCK]
+        r, q = phase[start:start + len(x)], scratch[:len(x)]
+        np.divide(x, period, out=q)
+        np.floor(q, out=q)
+        if not (q[-1] < 2**26 and math.isfinite(lo)):  # the last q is the largest
+            np.fmod(x, period, out=r)
+            continue
+        np.multiply(q, hi, out=r)
+        np.subtract(x, r, out=r)
+        q *= lo
+        r -= q
+        ok = r >= 0  # false for nan
+        ok &= r < period
+        if not ok.all():
+            j = np.flatnonzero(~ok)
+            r[j] = np.fmod(x[j], period)
+    return phase
+
+
 def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
     """Box-Muller cosine variates from consecutive counter pairs.
 
@@ -356,7 +397,7 @@ def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
         # arrays are computed in place, and temporaries freed before the yield.
         with np.errstate(all="ignore"):
             t = np.arange(start, start + m, dtype=np.float64) / rate
-            phase = np.fmod(t, period)  # np.mod, for t >= 0
+            phase = _breath_phase(t, period)  # np.fmod(t, period), bit for bit
             insp = phase < t_insp
             u = phase / t_insp  # inspiratory phase fraction, valid where insp
             # the sample's own phase fraction: expiratory, or u where insp

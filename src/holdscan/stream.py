@@ -5,14 +5,16 @@ Both take the generator's blocks (``mockgen._blocks``) one at a time;
 ``pipeline`` computes the values a reader gives for the 9-digit text of the
 waveform and the score trace in numpy (``waveform._read_back``) and writes
 the text only to save it.  In :func:`_stage_blocks` each block has its t read
-back, is checked as ``score`` checks a whole recording (by
+back where that can change it, is checked as ``score`` checks a whole recording (by
 ``waveform._BlockCheck``, which holds the rule for the rate and the order of
 the faults), scored, written to the ``--save-*`` streams and fed to a
 resumable hold scan (``detection._HoldScan``).  Each segment is reported on
 its own window of samples (:class:`_HoldReports`).  After a check fails, the
 pass only checks the rest, so that it raises the error the separate commands give.
 
-Per block, only t is read back, for the grid check.  The log-scores are those
+Per block, only t is read back, for the grid check, and only where it is not
+the value of its 9-digit text already (:func:`_t_reads_back_as_itself`, decided
+once per run; at 100 Hz, every t below 1e7 s is).  The log-scores are those
 ``score`` writes (of the read-back flow and pressure, read back) within ``B``
 (``scoring._read_back_band``) of a threshold (:class:`_HoldReports`), and
 everywhere where no ``B`` is proven, with ``--save-trace`` and after a check
@@ -64,6 +66,26 @@ from .waveform import (
 def _exact_log_scores(flow: np.ndarray, pressure: np.ndarray, params: ModelParams) -> np.ndarray:
     """The log-scores ``score`` writes for the text of ``flow`` and ``pressure``, read back."""
     return _read_back(_log_scores_array(*_read_back(np.concatenate([flow, pressure])).reshape(2, -1), params))
+
+
+def _t_reads_back_as_itself(rate: float, n: int) -> bool:
+    """Whether each ``t = k / rate``, ``k < n``, is the value its 9-digit text reads back to.
+
+    Where ``rate`` is an integer ``2**a * 5**b``, it divides ``10**d`` for ``d =
+    max(a, b)``, and ``t``, one rounding, is the float nearest the decimal ``k c /
+    10**d`` with ``c = 10**d // rate``.  While ``(n - 1) c < 10**9`` that decimal
+    has at most 9 digits, so it is the text of ``t``, which reads back to ``t``.
+    """
+    if not rate.is_integer():
+        return False
+    r = int(rate)
+    a = (r & -r).bit_length() - 1
+    r >>= a
+    b = 0
+    while r % 5 == 0:
+        r //= 5
+        b += 1
+    return r == 1 and (n - 1) * (10 ** max(a, b) // int(rate)) < 10**9
 
 
 def _pipeline_rate(cfg: MockConfig, n: int) -> float:
@@ -153,8 +175,8 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     """``pipeline``'s one pass over the recording, block by block; returns the report text.
 
     Each block is generated, its t read back (the values a reader gives for
-    the 9-digit text) and fed to one check of the whole recording.  Until the
-    first fault it is also checked as ``score`` checks the recording (at the
+    the 9-digit text) where :func:`_t_reads_back_as_itself` does not hold,
+    and fed to one check of the whole recording.  Until the first fault it is also checked as ``score`` checks the recording (at the
     rate it infers from the first and last timestamps), scored (exactly with
     ``save_trace``), written to the ``save_*`` streams and fed to
     :class:`_HoldReports`, so only one block, the samples segments still need
@@ -163,7 +185,7 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     ``generate``'s, else ``score``'s (the grid, then the log-scores), else the fault.
     """
     n = _sample_count(cfg)
-    _check_rate(cfg.sample_rate_hz)  # generate's first check
+    t_is_text = _t_reads_back_as_itself(_check_rate(cfg.sample_rate_hz), n)  # generate's first check
     checks = _BlockCheck()
     fault = scores_error = None
     try:
@@ -173,7 +195,8 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
     except HoldscanError as exc:
         fault = exc
     for start, t, *values in _blocks(cfg, n):
-        t = _read_back(t)
+        if not t_is_text:
+            t = _read_back(t)
         checks.feed(t, *values)
         if fault is None:
             try:

@@ -121,10 +121,10 @@ def _non_finite(name: str, index: int) -> NonFiniteInput:
     return NonFiniteInput(f"channel {name!r} has a non-finite value at index {index}")
 
 
-def _uneven(nominal: float, dev: float) -> NonUniformSampling:
+def _uneven(nominal: float, dev: float, index: int, before: float, after: float) -> NonUniformSampling:
     return NonUniformSampling(
-        f"timestamp spacing deviates from {nominal} s by {dev} "
-        f"(allowed {SPACING_RTOL * nominal})"
+        f"timestamp spacing deviates from {nominal} s by {dev} at index {index} "
+        f"(t={before!r} then t={after!r}; allowed {SPACING_RTOL * nominal})"
     )
 
 
@@ -169,8 +169,9 @@ class _BlockCheck:
     (a channel may be None, as ``volume`` is when the recording has none);
     the previous block's last timestamp is carried into the grid check.  It
     keeps the first non-finite value of each channel, the first step of
-    ``t`` that is not forward, and the smallest and largest step, so the
-    spacing can be judged at any rate afterwards; the grid is no longer
+    ``t`` that is not forward, and the smallest and largest step with where
+    each first occurs, so the spacing can be judged at any rate afterwards
+    and its error can say where; the grid is no longer
     checked once a timestamp is not finite.  :meth:`raise_first` raises the
     first fault of the recording so far and returns its rate.
     """
@@ -180,7 +181,9 @@ class _BlockCheck:
         self._first = self._last = math.nan
         self.bad: dict[str, int] = {}  # channel -> index of its first non-finite value
         self.backward: NonMonotonicTime | None = None
-        self._lo, self._hi = math.inf, -math.inf  # smallest and largest step
+        # smallest and largest step, each with its first (index, t before, t after)
+        self._lo, self._hi = math.inf, -math.inf
+        self._lo_at = self._hi_at = (0, math.nan, math.nan)
 
     def feed(self, t: np.ndarray, *channels: np.ndarray | None) -> None:
         start, self._pos = self._pos, self._pos + len(t)
@@ -200,11 +203,17 @@ class _BlockCheck:
             bad = int(np.flatnonzero(dt <= 0)[0])
             self.backward = _backward(start + bad + 1, t[bad], t[bad + 1])
         else:
+            # the step into the block first, so that the first of equal steps is kept
+            steps = [(start, last, float(t[0]))] if start else []
             if len(dt):
-                self._lo, self._hi = min(self._lo, float(dt.min())), max(self._hi, float(dt.max()))
-            if start:
-                step = float(t[0]) - last
-                self._lo, self._hi = min(self._lo, step), max(self._hi, step)
+                steps += [(start + i + 1, float(t[i]), float(t[i + 1]))
+                          for i in (int(dt.argmin()), int(dt.argmax()))]
+            for at in steps:
+                step = at[2] - at[1]
+                if step < self._lo:
+                    self._lo, self._lo_at = step, at
+                if step > self._hi:
+                    self._hi, self._hi_at = step, at
 
     def raise_first(self, rate: float | None = None) -> float:
         """Raise the first fault of the recording at ``rate``; return the rate.
@@ -234,10 +243,12 @@ class _BlockCheck:
             raise _non_finite("t", self.bad["t"])
         if self.backward is not None:
             raise self.backward
-        # rounding is monotonic, so this is the largest |step - nominal|
-        dev = max(self._hi - nominal, nominal - self._lo)
+        # rounding is monotonic, so this is the largest |step - nominal|; of
+        # two steps that deviate as much, the first is named
+        over, under = self._hi - nominal, nominal - self._lo
+        dev, at = max((over, self._hi_at), (under, self._lo_at), key=lambda d: (d[0], -d[1][0]))
         if dev > SPACING_RTOL * nominal:
-            raise _uneven(nominal, dev)
+            raise _uneven(nominal, dev, *at)
 
 
 def _span_rate(count: int, first: float, last: float) -> float:

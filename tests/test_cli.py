@@ -35,7 +35,7 @@ from holdscan import (
 )
 from holdscan import cli
 from holdscan.cli import run
-from holdscan.stream import _exact_log_scores, _HoldReports, _stage_blocks
+from holdscan.stream import _exact_log_scores, _HoldReports, _stage_blocks, _t_reads_back_as_itself
 from holdscan.mechanics import HEURISTICS_NOTE, report_hold
 from holdscan.mockgen import _BLOCK, _blocks, _sample_count
 from holdscan.scoring import LOG_Q_MAX, _log_scores_array, _read_back_band
@@ -873,6 +873,26 @@ class TestReadBackPass:
             _outcome(block_pass, cfg, params)
         assert blocks.call_count <= 1
 
+    @pytest.mark.parametrize("cfg, read_back", [
+        (MockConfig(duration_s=3600.0, holds=((1800.0, 2.0),), rng_seed=1), False),
+        (MockConfig(duration_s=300.0, sample_rate_hz=128.0, holds=((50.0, 2.0),), rng_seed=1), True),
+        (FAILING[4][0], True),  # 7.3 Hz
+        (FAILING[6][0], True),  # 256 Hz
+    ])
+    def test_t_read_back_where_it_is_not_its_text(self, cfg, read_back):
+        made = []
+
+        def blocks(*args):
+            for block in _blocks(*args):
+                made.append(block[1])
+                yield block
+
+        with mock.patch("holdscan.stream._blocks", blocks), \
+                mock.patch("holdscan.stream._read_back", wraps=_read_back) as read:
+            _outcome(block_pass, cfg, ModelParams())
+        assert len(made) == -(-_sample_count(cfg) // _BLOCK)
+        assert [any(c.args[0] is t for c in read.call_args_list) for t in made] == [read_back] * len(made)
+
     def test_cli_error_line(self):
         argv = ["--seed", "7", "--duration-s", "0.01", "--hold", "0:0.01", "--noise-sd-flow", "1.7e308"]
         with warnings.catch_warnings():
@@ -881,6 +901,30 @@ class TestReadBackPass:
             assert run_cli(["generate", *argv])[0] == 1
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == "error: channel 'flow' has a non-finite value at index 0"
+
+
+# the integer rates 2**a * 5**b up to 1e6 Hz, with c = 10**d // rate for the least d
+_DECIMAL_RATES = sorted((2**a * 5**b, 10 ** max(a, b) // (2**a * 5**b))
+                        for a in range(20) for b in range(9) if 2**a * 5**b <= 10**6)
+
+
+class TestTimeIsItsText:
+    """Where t = k / rate is the value of its own 9-digit text: while k c < 1e9."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate_c=st.sampled_from(_DECIMAL_RATES), share=st.floats(0.0, 1.0))
+    def test_inside_the_bound(self, rate_c, share):
+        rate, c = rate_c
+        last = (10**9 - 1) // c  # the last index inside the bound
+        t = np.array([0, int(share * last), last]) / float(rate)
+        assert _read_back(t).tobytes() == t.tobytes()
+        assert _t_reads_back_as_itself(float(rate), last + 1)
+        # from the first index past the bound on, t is read back
+        assert not _t_reads_back_as_itself(float(rate), last + 2)
+
+    @pytest.mark.parametrize("rate", [3.0, 7.3, 100.5, 0.125, 6e6, 1e300])
+    def test_other_rates(self, rate):
+        assert not _t_reads_back_as_itself(rate, 1)
 
 
 @st.composite

@@ -32,6 +32,7 @@ from holdscan.mockgen import (
     DECAY_RATE,
     MAX_SAMPLES,
     _blocks,
+    _breath_phase,
     _cos_turns,
     _hold_mask,
     _splitmix64,
@@ -140,7 +141,9 @@ def _block_cases(draw):
         if start >= (sum(holds[-1]) if holds else 0.0) and start + length <= duration:
             holds.append((start, length))
     noise = draw(st.sampled_from([1.0, 0.0]))
+    # 1e-300 bpm: a period whose split overflows, so the phase is np.fmod's
     cfg = MockConfig(duration_s=duration, sample_rate_hz=rate, holds=tuple(holds),
+                     respiratory_rate_bpm=draw(st.sampled_from([15.0, 14.0, 1e-300])),
                      noise_sd_flow=noise, noise_sd_pressure=noise,
                      rng_seed=draw(st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70)))
     return cfg, size
@@ -314,6 +317,35 @@ class TestCosTurns:
         here = _cos_turns(u, np.empty(len(u), np.int64))
         assert enabled == ""
         assert digest == hashlib.sha256(here.tobytes()).hexdigest()
+
+
+@st.composite
+def _phase_cases(draw):
+    """Sorted t >= 0 and a breath period: the sample times of a grid, or times
+    on and one ulp either side of multiples of the period, with quotients from 0
+    to past 2**26."""
+    period = draw(st.sampled_from([60.0 / 14, 1.5e300])  # 1.5e300: its split overflows
+                  | st.floats(0.1, 1000.0).map(lambda bpm: 60.0 / bpm))
+    length = draw(st.sampled_from([1, 7, _BLOCK, _BLOCK + 1]))
+    if draw(st.booleans()):
+        rate = 10.0 ** draw(st.floats(-4.0, 8.0))
+        k = draw(st.integers(0, MAX_SAMPLES - length))
+        return np.arange(k, k + length, dtype=np.float64) / rate, period
+    q = draw(st.integers(0, 2**26 + 2) | st.integers(2**26 - length // 3 - 2, 2**26 + 2))
+    base = (q + np.arange(length // 3 + 1)) * period
+    t = np.concatenate((np.nextafter(base, 0.0), base, np.nextafter(base, np.inf)))
+    return np.sort(t)[:length], period
+
+
+class TestBreathPhase:
+    """The breath phase against np.fmod, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_phase_cases())
+    def test_matches_fmod(self, case):
+        t, period = case
+        with np.errstate(all="ignore"):
+            assert _breath_phase(t, period).tobytes() == np.fmod(t, period).tobytes()
 
 
 class TestDeterminism:

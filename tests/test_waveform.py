@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 from unittest import mock
 
@@ -250,6 +251,7 @@ def _recordings_in_blocks(draw):
     for _ in range(draw(st.integers(0, 3))):
         k, i = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
         channels[k][i] = draw(st.sampled_from([np.nan, np.inf, -np.inf, channels[0][i] + 1e-9,
+                                               channels[0][i] + 0.25 / rate,
                                                channels[0][i] - 1.0 / rate, 0.0]))
     edges = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5)))
     return channels, rate, edges
@@ -275,10 +277,12 @@ def _reference_check(channels, rate):
             raise NonMonotonicTime(f"timestamps not strictly increasing at index {i} "
                                    f"(t={float(t[i - 1])!r} then t={float(t[i])!r})")
     nominal = 1.0 / rate
-    dev = max((abs(float(b - a) - nominal) for a, b in zip(t, t[1:])), default=0.0)
+    devs = [abs(float(b - a) - nominal) for a, b in zip(t, t[1:])]
+    dev = max(devs, default=0.0)
     if dev > 1e-6 * nominal:
-        raise NonUniformSampling(f"timestamp spacing deviates from {nominal} s by {dev} "
-                                 f"(allowed {1e-6 * nominal})")
+        i = devs.index(dev) + 1  # the first step that deviates most ends at sample i
+        raise NonUniformSampling(f"timestamp spacing deviates from {nominal} s by {dev} at index {i} "
+                                 f"(t={float(t[i - 1])!r} then t={float(t[i])!r}; allowed {1e-6 * nominal})")
 
 
 class TestBlockCheck:
@@ -319,6 +323,16 @@ class TestBlockCheck:
         assert check.raise_first() == check.raise_first(100.0) == 100.0
         check.feed(t[5:], t[5:], t[5:], t[5:])
         with pytest.raises(NonMonotonicTime, match="at index 5 "):
+            check.raise_first(100.0)
+
+    def test_uneven_step_at_a_block_edge(self):
+        t = np.arange(10) / 100.0
+        t[5:] += 0.004
+        check = _BlockCheck()
+        check.feed(t[:5], t[:5], t[:5], t[:5])
+        check.feed(t[5:], t[5:], t[5:], t[5:])
+        where = f"at index 5 (t={float(t[4])!r} then t={float(t[5])!r}; "
+        with pytest.raises(NonUniformSampling, match=re.escape(where)):
             check.raise_first(100.0)
 
 
