@@ -136,26 +136,34 @@ class _HoldScan:
         p0 = self._pos
         self._pos += len(ls)
 
-        # Raw runs from the samples that can open one (>= on) and those that
-        # close one (< off); no sample is both, since off <= on.  ``pos[j]``
-        # counts the closing samples before on-sample j, so a run opens at the
-        # first on-sample (unless one is open from the last block) and at each
-        # one with a closing sample since the last, and closes at the next
-        # closing sample, or stays open past the end of the block.
-        on_idx = np.flatnonzero(ls >= on)
-        off_idx = np.flatnonzero(ls < off)
-        pos = np.searchsorted(off_idx, on_idx)
+        # Raw runs from the samples at or above off (``keep``), few in a
+        # recording.  Each stretch of consecutive ones ends at its closing
+        # sample (< off), or runs on past the block.  ``keep[j] - j`` is the
+        # same over a stretch, larger in each later one and 0 over one from
+        # the block's first sample, so a run opens at the first on-sample of
+        # each stretch (unless a run open from the last block goes on in it)
+        # and closes where its stretch ends.  A run open from the last block
+        # closes at the block's first closing sample.
+        keep = np.flatnonzero(ls >= off)
+        last = np.ones(len(keep), dtype=bool)
+        last[:-1] = keep[1:] - keep[:-1] > 1
+        ends = keep[last] + 1  # each stretch's closing sample
+        on_at = np.flatnonzero(ls[keep] >= on)
+        on_idx = keep[on_at]
+        stretch = on_idx - on_at
         opens = np.ones(len(on_idx), dtype=bool)
-        opens[1:] = pos[1:] > pos[:-1]
+        opens[1:] = stretch[1:] > stretch[:-1]
         carried = self._run is not None and self._run[1] is None
         if carried and len(on_idx):
-            opens[0] = pos[0] > 0
-        closes = np.append(off_idx, len(ls))[pos[opens]]
+            opens[0] = stretch[0] > 0
+        starts = on_idx[opens]
+        runs = zip(starts.tolist(), ends[np.searchsorted(ends, starts)].tolist())
 
         out: list[tuple[int, int]] = []
-        if carried and len(off_idx):
-            self._run[1] = p0 + int(off_idx[0])
-        for a, b in zip(on_idx[opens].tolist(), closes.tolist()):
+        if carried and len(ls):
+            end = int(ends[0]) if len(keep) and keep[0] == 0 else 0
+            self._run[1] = p0 + end if end < len(ls) else None
+        for a, b in runs:
             a, b = p0 + a, (p0 + b if b < len(ls) else None)
             if self._run is not None and (a - self._run[1]) / self._rate < self._config.merge_gap_s:
                 self._run[1] = b

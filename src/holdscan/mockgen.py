@@ -27,10 +27,12 @@ The recording can be computed in blocks (``_blocks``): every sample goes
 through the same operations as over the whole recording, each block draws
 its noise from its own samples' counters in the layout above, and the
 volume's running sum is carried across blocks, so the bytes do not depend on
-the block size.  ``generate`` and ``pipeline`` take blocks of ``_BLOCK``
-samples and keep one of them and its temporaries (``pipeline`` also a few
-seconds of earlier samples) at a time, so a recording of any length runs in
-bounded memory; a config may ask for at most ``MAX_SAMPLES`` samples.
+the block size.  Every use takes blocks of ``_BLOCK`` samples, whose
+temporaries stay in cache.  ``generate`` and ``pipeline`` keep one block
+(``pipeline`` also a few seconds of earlier samples) at a time, so a
+recording of any length runs in bounded memory; ``generate_mock_waveform``
+checks each block and copies it into the channels it returns, so it holds
+those and one block.  A config may ask for at most ``MAX_SAMPLES`` samples.
 Values beyond the float range become inf or nan without a numpy warning, and
 the recording's checks then reject them.
 """
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, _real
-from .waveform import Waveform
+from .waveform import _BLOCK, Waveform, _BlockCheck
 
 # Exponential decay constant shared by inspiratory flow and expiratory
 # relaxation, in units of breath-phase fraction: the template falls to
@@ -54,9 +56,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Samples computed per block; a block's temporaries stay in cache.
-_BLOCK = 16384
 
 # Box-Muller's cosine, cos(2 pi u), from a table of N = _TURN_STEPS points a
 # turn and short polynomials in IEEE-754 basic operations: the same bits on
@@ -443,16 +442,29 @@ def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
         yield start, t, flow, pressure, volume
 
 
+def _checked_blocks(config: MockConfig, n: int):
+    """The blocks of :func:`_blocks` at the default size, each fed to one check
+    of the recording; after the last, raises what ``Waveform(...)`` raises for
+    the whole recording."""
+    check = _BlockCheck()
+    for block in _blocks(config, n):
+        check.feed(*block[1:])
+        yield block
+    check.raise_first(config.sample_rate_hz)
+
+
 def generate_mock_waveform(config: MockConfig = MockConfig()) -> tuple[Waveform, GroundTruth]:
     """Deterministic synthetic recording plus its true hold intervals.
 
     The volume channel is the cumulative trapezoidal integral of flow
-    (L/min converted to L/s), starting at zero.
+    (L/min converted to L/s), starting at zero.  The recording is computed
+    in blocks of ``_BLOCK`` samples, each checked and copied into the
+    channels while in cache; a fault raises what ``Waveform(...)`` raises for it.
     """
     n = _sample_count(config)
-    # The whole recording is returned, so it is one block here; cache-sized
-    # blocks pay off where each is consumed while in cache (``generate``, ``pipeline``).
-    _, t, flow, pressure, volume = next(_blocks(config, n, n))
-    w = Waveform(t=t, flow=flow, pressure=pressure, sample_rate_hz=config.sample_rate_hz,
-                 volume=volume)
+    t, flow, pressure, volume = channels = [np.empty(n) for _ in range(4)]
+    for start, *values in _checked_blocks(config, n):
+        for arr, v in zip(channels, values):
+            arr[start:start + len(v)] = v
+    w = Waveform._checked(t, flow, pressure, config.sample_rate_hz, volume)
     return w, _ground_truth(config)

@@ -37,8 +37,8 @@ from .errors import (
     NonPositiveVariance,
     _real,
 )
-from .waveform import (_READ_BACK_RTOL, Waveform, _channel, _check_rate, _read_table, _write_rows,
-                       check_time_grid)
+from .waveform import (_BLOCK, _READ_BACK_RTOL, Waveform, _channel, _check_rate, _read_table,
+                       _write_rows, check_time_grid)
 
 # ln of the density-product ceiling 1 - 1e-12.
 LOG_Q_MAX = math.log1p(-1e-12)
@@ -208,11 +208,17 @@ def _read_back_band(params: ModelParams, thresholds) -> float:
 
 
 def score_series(w: Waveform, params: ModelParams = ModelParams()) -> ScoreTrace:
-    """Score every sample of a waveform; length is preserved."""
-    return ScoreTrace(
-        log_scores=_log_scores_array(w.flow, w.pressure, params),
-        sample_rate_hz=w.sample_rate_hz,
-    )
+    """Score every sample of a waveform; length is preserved.
+
+    The samples are scored in blocks of ``_BLOCK``, whose temporaries stay in
+    cache; a sample's log-score does not depend on the others, so the bits
+    are those of the whole arrays.
+    """
+    log_scores = np.empty(len(w.flow))
+    for start in range(0, len(log_scores), _BLOCK):
+        part = slice(start, start + _BLOCK)
+        log_scores[part] = _log_scores_array(w.flow[part], w.pressure[part], params)
+    return ScoreTrace(log_scores=log_scores, sample_rate_hz=w.sample_rate_hz)
 
 
 def window_log_evidence(

@@ -49,7 +49,7 @@ from .detection import (
 )
 from .errors import HoldscanError
 from .mechanics import VOLUME_LOOKBACK_S, _samples, report_hold
-from .mockgen import MockConfig, _blocks, _sample_count
+from .mockgen import MockConfig, _blocks, _checked_blocks, _sample_count
 from .scoring import _TRACE_HEADER, ModelParams, _check_log_scores, _log_scores_array, _read_back_band
 from .waveform import (
     _CHANNELS,
@@ -225,11 +225,8 @@ def _stage_blocks(cfg: MockConfig, params: ModelParams, config: DetectionConfig,
 
 
 def _generate_pass(cfg: MockConfig, out) -> None:
-    """``generate``'s pass: each block's CSV rows written to ``out`` and checked
-    at the configured rate, so that, once every block is in, it raises what
-    ``generate_mock_waveform`` raises for the whole recording."""
-    check = _BlockCheck()
-    for start, t, *values in _blocks(cfg, _sample_count(cfg)):
-        check.feed(t, *values)
-        _write_rows(out, _CHANNELS if start == 0 else None, (t, *values))
-    check.raise_first(cfg.sample_rate_hz)
+    """``generate``'s pass: each block's CSV rows written to ``out`` and the
+    block checked as ``generate_mock_waveform`` checks it (``mockgen._checked_blocks``),
+    so that, once every block is in, it raises what that raises for the whole recording."""
+    for start, *channels in _checked_blocks(cfg, _sample_count(cfg)):
+        _write_rows(out, _CHANNELS if start == 0 else None, channels)

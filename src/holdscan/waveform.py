@@ -50,6 +50,10 @@ _CHANNELS = ("t", "flow", "pressure", "volume")
 
 _HEADER_BASE = _CHANNELS[:3]
 
+# Samples computed per block by the generator (``mockgen``) and by
+# ``scoring.score_series``; a block's temporaries stay in cache.
+_BLOCK = 16384
+
 # Rows formatted by one string operation in the writer; bounds its temporaries.
 _ROWS_PER_CHUNK = 8192
 
@@ -121,11 +125,20 @@ def _non_finite(name: str, index: int) -> NonFiniteInput:
     return NonFiniteInput(f"channel {name!r} has a non-finite value at index {index}")
 
 
-def _uneven(nominal: float, dev: float, index: int, before: float, after: float) -> NonUniformSampling:
+def _uneven(nominal: float, dev: float, index: int, before: float, after: float,
+            fits: int | None) -> NonUniformSampling:
+    hint = f"; the smallest step fits {fits} Hz" if fits is not None else ""
     return NonUniformSampling(
         f"timestamp spacing deviates from {nominal} s by {dev} at index {index} "
-        f"(t={before!r} then t={after!r}; allowed {SPACING_RTOL * nominal})"
+        f"(t={before!r} then t={after!r}; allowed {SPACING_RTOL * nominal}{hint})"
     )
+
+
+def _fitted_rate(step: float) -> int | None:
+    """The integer rate whose grid check ``step`` passes, if any."""
+    inverse = 1.0 / step
+    r = round(inverse) if inverse < math.inf else 0
+    return r if r > 0 and abs(step - 1.0 / r) <= SPACING_RTOL * (1.0 / r) else None
 
 
 def _check_span(w: Waveform, start: int, end: int, offset: int = 0) -> None:
@@ -229,26 +242,29 @@ class _BlockCheck:
         if rate is None:
             rate = _span_rate(self._pos, self._first, self._last)
             if rate == math.inf or "t" in self.bad:
-                self._raise_grid(0.0)
+                self._raise_grid(math.inf)
         _check_rate(rate)
         for name in _CHANNELS:
             if name in self.bad:
                 raise _non_finite(name, self.bad[name])
-        self._raise_grid(1.0 / rate)
+        self._raise_grid(rate)
         return rate
 
-    def _raise_grid(self, nominal: float) -> None:
-        """Raise the first fault of the timestamps for the spacing ``nominal``."""
+    def _raise_grid(self, rate: float) -> None:
+        """Raise the first fault of the timestamps at ``rate``; where the
+        smallest step fits another, integer rate, the error names it."""
         if "t" in self.bad:
             raise _non_finite("t", self.bad["t"])
         if self.backward is not None:
             raise self.backward
         # rounding is monotonic, so this is the largest |step - nominal|; of
         # two steps that deviate as much, the first is named
+        nominal = 1.0 / rate
         over, under = self._hi - nominal, nominal - self._lo
         dev, at = max((over, self._hi_at), (under, self._lo_at), key=lambda d: (d[0], -d[1][0]))
         if dev > SPACING_RTOL * nominal:
-            raise _uneven(nominal, dev, *at)
+            fits = _fitted_rate(self._lo)
+            raise _uneven(nominal, dev, *at, fits if fits != rate else None)
 
 
 def _span_rate(count: int, first: float, last: float) -> float:

@@ -439,6 +439,18 @@ class TestScore:
         assert out == ""
         assert dest.read_text().startswith("t,log_score\n")
 
+    def test_dropped_row_names_where_and_the_rate(self):
+        # one row of a 100 Hz recording deleted: the rate inferred from the span
+        # is not 100 Hz, and the error names the gap and the rate of the other steps
+        _, text, _ = run_cli(["generate", "--seed", "1", "--duration-s", "120", "--hold", "60:2"])
+        lines = text.splitlines(keepends=True)
+        assert lines[5000].startswith("49.99,")
+        del lines[5000]
+        assert run_cli(["score", "-"], stdin_text="".join(lines)) == (1, "", (
+            "error: timestamp spacing deviates from 0.010000833472245374 s by 0.009999166527757753 "
+            "at index 4999 (t=49.98 then t=50.0; allowed 1.0000833472245374e-08; "
+            "the smallest step fits 100 Hz)\n"))
+
     def test_model_flags_change_scores(self):
         _, base, _ = run_cli(["score", "-"], stdin_text=self.wave_text)
         _, moved, _ = run_cli(

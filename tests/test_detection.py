@@ -170,6 +170,33 @@ def scan_in_blocks(trace, cfg, edges):
     return [_hold_segment(a, b, ls[a:b], rate) for a, b in runs]
 
 
+@st.composite
+def _stretch_cases(draw):
+    """A trace of stretches at or above the off-threshold between samples below
+    it, cut into blocks inside the stretches (so that whole blocks lie in one,
+    and a run is carried through them) and at their ends (so that a stretch
+    ends on a block's last sample), with a finite or -inf off-threshold."""
+    on = draw(st.sampled_from([-10.0, 0.0]))
+    off = draw(st.sampled_from([-14.0, on, -np.inf]))
+    cfg = DetectionConfig(log_threshold_on=on, log_threshold_off=off,
+                          min_duration_s=draw(st.sampled_from([0.0, 0.03])),
+                          merge_gap_s=draw(st.sampled_from([0.0, 0.05])))
+    below = [np.nextafter(off, -np.inf), off - 5.0, -np.inf] if off > -np.inf else []
+    kept = st.sampled_from([off, np.nextafter(on, -np.inf), (on + off) / 2 if off > -np.inf else -50.0,
+                            on, on + 3.0])
+    scores, edges = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if below:
+            scores += draw(st.lists(st.sampled_from(below), min_size=1, max_size=4))
+        a = len(scores)
+        scores += draw(st.lists(kept, min_size=1, max_size=60))
+        b = len(scores)
+        inside = draw(st.lists(st.integers(a, b), max_size=4))
+        edges += inside + ([b] if draw(st.booleans()) else [])
+    edges = sorted(e for e in set(edges) if 0 < e < len(scores))
+    return trace_of(scores), cfg, edges
+
+
 class TestScanInBlocks:
     """The resumable scan over any cut into blocks gives the segments of the whole trace."""
 
@@ -181,6 +208,14 @@ class TestScanInBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             segs = scan_in_blocks(trace, cfg, edges)
+        assert _as_rows(segs) == _as_rows(detect_holds(trace, cfg))
+        assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_stretch_cases())
+    def test_stretches_over_block_edges(self, case):
+        trace, cfg, edges = case
+        segs = scan_in_blocks(trace, cfg, edges)
         assert _as_rows(segs) == _as_rows(detect_holds(trace, cfg))
         assert _as_rows(segs) == _as_rows(detect_holds_loop(trace, cfg))
 

@@ -170,6 +170,47 @@ class TestBlocks:
         assert truth.hold_segments == tuple(sorted((s, s + d) for s, d in cfg.holds))
 
 
+def _first_error(fn):
+    try:
+        fn()
+    except holdscan.HoldscanError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestGenerateInBlocks:
+    """generate_mock_waveform over several blocks: the oracle's channels, read-only,
+    and the error Waveform(...) gives for the oracle's arrays."""
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK + 1, 3 * _BLOCK])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_channels_of_the_whole_recording(self, n, seed):
+        cfg = MockConfig(duration_s=n / 100.0, holds=((_BLOCK / 100.0 - 1.0, 2.0),), rng_seed=seed)
+        ref = generate_whole(cfg)
+        w, _ = generate_mock_waveform(cfg)
+        assert len(w) == n and w.sample_rate_hz == 100.0
+        for name in ("t", "flow", "pressure", "volume"):
+            arr = getattr(w, name)
+            assert arr.dtype == np.float64 and arr.tobytes() == getattr(ref, name).tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[-1] = 0.0
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK + 1, 3 * _BLOCK])
+    def test_non_finite_value_in_a_later_block(self, n):
+        # a slow breath at an extreme flow: the volume leaves the float range
+        # during the second block's inspiration
+        cfg = MockConfig(duration_s=n / 100.0, peak_flow_lpm=5.5e307, respiratory_rate_bpm=0.03,
+                         i_to_e_ratio=1.0, rng_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the oracle's cumsum overflows
+            want = _first_error(lambda: generate_whole(cfg))
+        assert want == (NonFiniteInput, "channel 'volume' has a non-finite value at index 30011")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _first_error(lambda: generate_mock_waveform(cfg)) == want
+
+
 class TestGridAtConfiguredRate:
     """The generated grid passes the grid check at the configured rate for any
     n <= MAX_SAMPLES: every step is within 2**-20 of 1 / rate, inside SPACING_RTOL,

@@ -25,7 +25,8 @@ from holdscan import (
     window_log_evidence,
     write_score_trace_csv,
 )
-from holdscan.mockgen import MockConfig, generate_mock_waveform
+from holdscan.mockgen import _BLOCK, MockConfig, generate_mock_waveform
+from holdscan.scoring import LOG_Q_MAX, _log_density, _log_scores_array
 
 # Frozen oracle values, computed with mpmath at 40 decimal digits and rounded
 # to the nearest float64.  test_oracle_constants_recompute guards the freeze.
@@ -266,6 +267,38 @@ class TestScoreSeries:
     def test_trace_rejects_bad_log_scores(self, log_scores):
         with pytest.raises(MalformedRow, match="^log_scores must "):
             ScoreTrace(log_scores=log_scores, sample_rate_hz=100.0)
+
+
+class TestScoreSeriesInBlocks:
+    """score_series over several blocks: the bits of the whole arrays scored at once."""
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK + 5, 3 * _BLOCK])
+    @pytest.mark.parametrize("params", [ModelParams(), ModelParams(mu_flow=2.0, var_flow=0.02, var_pressure=0.02)])
+    def test_same_bits_as_whole_arrays(self, n, params):
+        rng = np.random.default_rng(n)
+        k = 0.5 * math.log(2.0 * math.pi * params.var_flow) + 0.5 * math.log(2.0 * math.pi * params.var_pressure)
+        # flow deviations that bring ln q to within a few ulps of -40, where the
+        # log1p fix-up starts, and of LOG_Q_MAX, where the clamp starts (if above the peak)
+        ulps = 1.0 + np.arange(-60, 61) * 2.0**-52
+        squares = np.concatenate([(40.0 - k) * ulps, max(-k - LOG_Q_MAX, 0.0) * ulps])
+        special_flow = np.concatenate([params.mu_flow + np.sqrt(2.0 * params.var_flow * squares),
+                                       [params.mu_flow, 1e200, -1e300]])  # then squares that overflow
+        special_pressure = np.full(len(special_flow), params.mu_pressure)
+        special_pressure[-1] = 1e250
+        flow, pressure = rng.uniform(-60.0, 60.0, n), rng.uniform(0.0, 30.0, n)
+        edges = [e + d for e in range(_BLOCK, n, _BLOCK) for d in (-1, 0)] + [0, n - 1]
+        i = np.union1d(rng.choice(n, n // 4, replace=False), edges)
+        pick = rng.integers(0, len(special_flow), len(i))
+        flow[i], pressure[i] = special_flow[pick], special_pressure[pick]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score_series(make_waveform(flow, pressure), params).log_scores
+        assert got.tobytes() == _log_scores_array(flow, pressure, params).tobytes()
+        with np.errstate(over="ignore"):
+            lq = _log_density(flow, pressure, params)
+        assert ((lq > -40.0) & (lq < -39.99)).any() and ((lq <= -40.0) & (lq > -40.01)).any()
+        assert (lq >= LOG_Q_MAX).any() == (-k > LOG_Q_MAX)
+        assert (got == -np.inf).sum() > 3 and np.isfinite(got).any()
 
 
 class TestSquareOverflow:

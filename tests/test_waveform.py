@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import warnings
 from unittest import mock
@@ -244,15 +245,17 @@ class TestValidate:
 
 @st.composite
 def _recordings_in_blocks(draw):
-    """Channels on a grid with a few samples moved or made non-finite, and cut points."""
+    """Channels on a grid with a few samples moved or made non-finite, the
+    rate to judge them at (the grid's, or one just off it), and cut points."""
     n = draw(st.integers(1, 60))
-    rate = draw(st.sampled_from([100.0, 7.3]))
-    channels = [np.arange(n) / rate] + [np.linspace(-1.0, 1.0, n) for _ in range(3)]
+    grid = draw(st.sampled_from([100.0, 7.3]))
+    rate = draw(st.sampled_from([grid, grid * (1.0 + 2e-6)]))
+    channels = [np.arange(n) / grid] + [np.linspace(-1.0, 1.0, n) for _ in range(3)]
     for _ in range(draw(st.integers(0, 3))):
         k, i = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
         channels[k][i] = draw(st.sampled_from([np.nan, np.inf, -np.inf, channels[0][i] + 1e-9,
-                                               channels[0][i] + 0.25 / rate,
-                                               channels[0][i] - 1.0 / rate, 0.0]))
+                                               channels[0][i] + 0.25 / grid,
+                                               channels[0][i] - 1.0 / grid, 0.0]))
     edges = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5)))
     return channels, rate, edges
 
@@ -277,12 +280,19 @@ def _reference_check(channels, rate):
             raise NonMonotonicTime(f"timestamps not strictly increasing at index {i} "
                                    f"(t={float(t[i - 1])!r} then t={float(t[i])!r})")
     nominal = 1.0 / rate
-    devs = [abs(float(b - a) - nominal) for a, b in zip(t, t[1:])]
+    steps = [float(b - a) for a, b in zip(t, t[1:])]
+    devs = [abs(step - nominal) for step in steps]
     dev = max(devs, default=0.0)
     if dev > 1e-6 * nominal:
         i = devs.index(dev) + 1  # the first step that deviates most ends at sample i
+        # the integer rate nearest the smallest step's, named if that step passes
+        # the grid check at it and it is not the rate judged
+        r = round(1.0 / min(steps)) if 1.0 / min(steps) < math.inf else 0
+        fits = r > 0 and r != rate and abs(min(steps) - 1.0 / r) <= 1e-6 * (1.0 / r)
+        hint = f"; the smallest step fits {r} Hz" if fits else ""
         raise NonUniformSampling(f"timestamp spacing deviates from {nominal} s by {dev} at index {i} "
-                                 f"(t={float(t[i - 1])!r} then t={float(t[i])!r}; allowed {1e-6 * nominal})")
+                                 f"(t={float(t[i - 1])!r} then t={float(t[i])!r}; allowed {1e-6 * nominal}"
+                                 f"{hint})")
 
 
 class TestBlockCheck:
@@ -334,6 +344,18 @@ class TestBlockCheck:
         where = f"at index 5 (t={float(t[4])!r} then t={float(t[5])!r}; "
         with pytest.raises(NonUniformSampling, match=re.escape(where)):
             check.raise_first(100.0)
+
+    def test_names_the_integer_rate_the_smallest_step_fits(self):
+        t = np.delete(np.arange(20) / 100.0, 7)  # one sample dropped
+        where = "at index 7 (t=0.06 then t=0.08; "
+        with pytest.raises(NonUniformSampling, match=re.escape(where) + r".*; the smallest step fits 100 Hz\)$"):
+            check_time_grid(t)  # at the rate of the span, 18 / 0.19 s
+        with pytest.raises(NonUniformSampling, match=r"; the smallest step fits 100 Hz\)$"):
+            check_time_grid(t, 50.0)
+        with pytest.raises(NonUniformSampling, match=r"; allowed 1e-08\)$"):
+            check_time_grid(t, 100.0)  # the rate judged is the one it fits
+        with pytest.raises(NonUniformSampling, match=r"\d\)$"):
+            check_time_grid(np.delete(np.arange(20) / 7.3, 7))  # no integer rate fits
 
 
 class TestTimeGrid:
