@@ -27,14 +27,15 @@ The recording can be computed in blocks (``_blocks``): every sample goes
 through the same operations as over the whole recording, each block draws
 its noise from its own samples' counters in the layout above, and the
 volume's running sum is carried across blocks, so the bytes do not depend on
-the block size.  Every use takes blocks of ``_BLOCK`` samples, whose
-temporaries stay in cache.  ``generate`` and ``pipeline`` keep one block
-(``pipeline`` also a few seconds of earlier samples) at a time, so a
-recording of any length runs in bounded memory; ``generate_mock_waveform``
-checks each block and copies it into the channels it returns, so it holds
-those and one block.  A config may ask for at most ``MAX_SAMPLES`` samples.
-Values beyond the float range become inf or nan without a numpy warning, and
-the recording's checks then reject them.
+the block size.  ``_blocks`` is the one place the generator blocks: every use
+takes blocks of ``_BLOCK`` samples, whose temporaries stay in cache, and the
+kernels below it work on the whole block they are given.  ``generate`` and
+``pipeline`` keep one block (``pipeline`` also a few seconds of earlier
+samples) at a time, so a recording of any length runs in bounded memory;
+``generate_mock_waveform`` checks each block and copies it into the channels
+it returns, so it holds those and one block.  A config may ask for at most
+``MAX_SAMPLES`` samples.  Values beyond the float range become inf or nan
+without a numpy warning, and the recording's checks then reject them.
 """
 
 from __future__ import annotations
@@ -259,34 +260,30 @@ def _cos_turns(u: np.ndarray, index: np.ndarray) -> np.ndarray:
     ulp of ``cos(2 pi u)`` but for about 1 in 10**4 drawn ``u``; the largest
     errors, about 1.5 ulp, lie near the zeros, where the result falls well
     below ``C`` (tests/test_mockgen.py).  ``index`` is int64 scratch as long as
-    ``u``.  The work runs over slices of at most ``_BLOCK`` samples, so its
-    temporaries stay block-sized.
+    ``u``.
     """
-    scratch = np.empty((2, min(len(u), _BLOCK)))
-    for start in range(0, len(u), _BLOCK):
-        x = u[start:start + _BLOCK]
-        m = index[start:start + len(x)]
-        r2, sin = scratch[:, :len(x)]
-        x *= _TURN_STEPS  # exact
-        np.add(x, _ROUND, out=r2)
-        np.bitwise_and(r2.view(np.int64), 2 * _TURN_STEPS - 1, out=m)
-        r2 -= _ROUND  # m as a float
-        x -= r2  # r, exact
-        np.multiply(x, x, out=r2)
-        np.multiply(r2, _SIN_5, out=sin)  # sin(2 pi r / N)
-        sin += _SIN_3
-        sin *= r2
-        sin += _SIN_1_LO
-        sin *= x
-        x *= _SIN_1_HI  # exact
-        sin += x
-        np.multiply(r2, _COS_4, out=x)  # cos(2 pi r / N) - 1
-        x += _COS_2
-        x *= r2
-        sin *= np.take(_SIN_TURNS, m, out=r2, mode="clip")
-        x *= np.take(_COS_TURNS, m, out=r2, mode="clip")
-        x -= sin
-        x += r2
+    x, m = u, index
+    r2, sin = np.empty((2, len(u)))
+    x *= _TURN_STEPS  # exact
+    np.add(x, _ROUND, out=r2)
+    np.bitwise_and(r2.view(np.int64), 2 * _TURN_STEPS - 1, out=m)
+    r2 -= _ROUND  # m as a float
+    x -= r2  # r, exact
+    np.multiply(x, x, out=r2)
+    np.multiply(r2, _SIN_5, out=sin)  # sin(2 pi r / N)
+    sin += _SIN_3
+    sin *= r2
+    sin += _SIN_1_LO
+    sin *= x
+    x *= _SIN_1_HI  # exact
+    sin += x
+    np.multiply(r2, _COS_4, out=x)  # cos(2 pi r / N) - 1
+    x += _COS_2
+    x *= r2
+    sin *= np.take(_SIN_TURNS, m, out=r2, mode="clip")
+    x *= np.take(_COS_TURNS, m, out=r2, mode="clip")
+    x -= sin
+    x += r2
     return u
 
 
@@ -297,34 +294,27 @@ def _breath_phase(t: np.ndarray, period: float) -> np.ndarray:
     ``q hi``, ``q lo`` and ``t - q hi`` are exact while ``q < 2**26``, so ``r =
     (t - q hi) - q lo`` is ``t - q period`` rounded once: the exact ``fmod``
     where ``q`` is the true quotient, and outside ``[0, period)`` where it is
-    one off.  Such samples take ``np.fmod``, as does a slice whose last ``q``
-    reaches ``2**26`` and every slice where the split is not finite (a period
-    above about 1.3e300).  The work runs over slices of at most ``_BLOCK``
-    samples, so its temporaries stay block-sized.
+    one off.  Such samples take ``np.fmod``, as does a call whose last ``q``
+    reaches ``2**26`` and every call where the split is not finite (a period
+    above about 1.3e300).  ``t`` must not be empty.
     """
     p = _SPLIT * period
     hi = p - (p - period)
     lo = period - hi
-    phase = np.empty_like(t)
-    scratch = np.empty(min(len(t), _BLOCK))
-    for start in range(0, len(t), _BLOCK):
-        x = t[start:start + _BLOCK]
-        r, q = phase[start:start + len(x)], scratch[:len(x)]
-        np.divide(x, period, out=q)
-        np.floor(q, out=q)
-        if not (q[-1] < 2**26 and math.isfinite(lo)):  # the last q is the largest
-            np.fmod(x, period, out=r)
-            continue
-        np.multiply(q, hi, out=r)
-        np.subtract(x, r, out=r)
-        q *= lo
-        r -= q
-        ok = r >= 0  # false for nan
-        ok &= r < period
-        if not ok.all():
-            j = np.flatnonzero(~ok)
-            r[j] = np.fmod(x[j], period)
-    return phase
+    q = np.divide(t, period)
+    np.floor(q, out=q)
+    if not (q[-1] < 2**26 and math.isfinite(lo)):  # the last q is the largest
+        return np.fmod(t, period, out=q)
+    r = np.multiply(q, hi)
+    np.subtract(t, r, out=r)
+    q *= lo
+    r -= q
+    ok = r >= 0  # false for nan
+    ok &= r < period
+    if not ok.all():
+        j = np.flatnonzero(~ok)
+        r[j] = np.fmod(t[j], period)
+    return r
 
 
 def _standard_normals(seed: int, first_counter: int, count: int) -> np.ndarray:
@@ -377,10 +367,11 @@ def _ground_truth(config: MockConfig) -> GroundTruth:
 def _blocks(config: MockConfig, n: int, size: int = _BLOCK):
     """``(start, t, flow, pressure, volume)`` for samples ``[start, start + len(t))``.
 
-    Consecutive blocks of at most ``size`` samples cover the ``n``-sample
-    recording.  Each sample is computed by the same operations as over the
-    whole recording, and the volume's running sum is carried from one block
-    to the next, so the blocks hold the whole-recording values bit for bit.
+    Consecutive blocks of at most ``size`` samples, none empty, cover the
+    ``n``-sample recording.  Each sample is computed by the same operations
+    as over the whole recording, and the volume's running sum is carried from
+    one block to the next, so the blocks hold the whole-recording values bit
+    for bit.
     """
     rate = config.sample_rate_hz
     period = 60.0 / config.respiratory_rate_bpm

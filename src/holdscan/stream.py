@@ -23,7 +23,7 @@ one text, so the checks and the saved text are the same; wherever a decision
 could change, the hold scan compares the values ``detect`` reads with its
 thresholds.
 
-What stays resident is one block of ``mockgen._BLOCK`` samples and its
+What stays resident is one block of ``waveform._BLOCK`` samples and its
 temporaries; in ``pipeline`` also a ring of the last ``VOLUME_LOOKBACK_S``
 seconds of every channel, the samples of the segment that is open or may
 still merge with the next, and the segment and report records, which grow

@@ -55,6 +55,7 @@ _HEADER_BASE = _CHANNELS[:3]
 _BLOCK = 16384
 
 # Rows formatted by one string operation in the writer; bounds its temporaries.
+# Not _BLOCK: 16384 rows raised generate's peak RSS by about 3 MB, no faster.
 _ROWS_PER_CHUNK = 8192
 
 # Every byte the writer emits in data rows of finite values.

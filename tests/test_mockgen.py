@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from holdscan import (
     generate_mock_waveform,
     score_series,
 )
+from holdscan.cli import run
 from holdscan.mockgen import (
     _BLOCK,
     _COS_TURNS,
@@ -211,6 +213,33 @@ class TestGenerateInBlocks:
             assert _first_error(lambda: generate_mock_waveform(cfg)) == want
 
 
+class TestKernelsTakeOneBlock:
+    """``_blocks`` alone decides the blocks: every use hands the breath phase and
+    the cosine one block of 1 to ``_BLOCK`` samples, the phase once a block and
+    the cosine twice, for the flow's noise and the pressure's."""
+
+    N = 2 * _BLOCK + 1
+
+    @pytest.mark.parametrize("use", ["library", "generate", "pipeline"])
+    def test_one_block_a_call(self, use, monkeypatch, tmp_path):
+        calls = []
+        for name in ("_breath_phase", "_cos_turns"):
+            def recorder(a, *args, kernel=getattr(holdscan.mockgen, name), name=name):
+                calls.append((name, len(a)))
+                return kernel(a, *args)
+            monkeypatch.setattr(holdscan.mockgen, name, recorder)
+        if use == "library":
+            generate_mock_waveform(MockConfig(duration_s=self.N / 100.0, rng_seed=5))
+        else:
+            err = io.StringIO()
+            argv = [use, "--seed", "5", "--duration-s", str(self.N / 100.0), "-o", str(tmp_path / "out")]
+            assert run(argv, stdout=io.StringIO(), stderr=err) == 0, err.getvalue()
+        assert all(1 <= size <= _BLOCK for _, size in calls)
+        blocks = [_BLOCK, _BLOCK, 1]
+        assert [size for name, size in calls if name == "_breath_phase"] == blocks
+        assert [size for name, size in calls if name == "_cos_turns"] == [b for b in blocks for _ in "fp"]
+
+
 class TestGridAtConfiguredRate:
     """The generated grid passes the grid check at the configured rate for any
     n <= MAX_SAMPLES: every step is within 2**-20 of 1 / rate, inside SPACING_RTOL,
@@ -387,6 +416,19 @@ class TestBreathPhase:
         t, period = case
         with np.errstate(all="ignore"):
             assert _breath_phase(t, period).tobytes() == np.fmod(t, period).tobytes()
+
+    @pytest.mark.parametrize("period", [60.0 / 14, 60.0 / 13.7])
+    def test_quotient_past_2_26_in_the_last_third(self, period):
+        # times on and one ulp either side of multiples of the period, over
+        # three blocks: the quotient reaches 2**26 only in the last block, so
+        # the whole call takes np.fmod.  It then grows to about 2**37, where
+        # the split's result can land in [0, period) and be wrong.
+        k = np.arange(_BLOCK)
+        base = np.where(k < 13653, 2**26 - 13653 + k, 2**26 + (k - 13653) * 2**24) * period
+        t = np.sort(np.concatenate((np.nextafter(base, 0.0), base, np.nextafter(base, np.inf))))
+        q = np.floor(t / period)
+        assert len(t) == 3 * _BLOCK and q[2 * _BLOCK - 1] < 2**26 <= q[-1]
+        assert _breath_phase(t, period).tobytes() == np.fmod(t, period).tobytes()
 
 
 class TestDeterminism:
